@@ -23,6 +23,9 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+echo "== compiled sweep kernel =="
+python -c 'from repro.core import sweepkernel as k; print(f"library:  {k.LIBRARY_PATH}\ncompiler: {k.COMPILER}")'
+
 echo "== tier 1: tests/ =="
 python -m pytest -x -q
 

@@ -112,13 +112,17 @@ def build_parser() -> argparse.ArgumentParser:
                  "gossipmap", "relaxmap"],
         default="sequential",
     )
-    pc.add_argument("--ranks", type=parse_ranks, default=4, metavar="N|auto",
-                    help="simulated MPI ranks (distributed/gossipmap); "
-                         "'auto' = one rank per CPU core")
+    # No argparse defaults: --method sequential must tell an explicit
+    # --ranks/--backend (rejected) apart from an omitted one.
+    pc.add_argument("--ranks", type=parse_ranks, default=None,
+                    metavar="N|auto",
+                    help="simulated MPI ranks (distributed/gossipmap/"
+                         "relaxmap; default 4); 'auto' = one rank per "
+                         "CPU core")
     pc.add_argument(
         "--backend",
         choices=["threads", "procs", "serial"],
-        default="threads",
+        default=None,
         help="SPMD execution backend: 'threads' (default, GIL-bound), "
              "'procs' (one process per rank over shared memory — same "
              "results, real parallelism), 'serial' (single rank only)",
@@ -127,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--d-high", type=int, default=None,
                     help="delegate degree threshold (default: adaptive)")
     pc.add_argument("--batch-size", type=int, default=None,
-                    help="move-kernel block size (0 = scalar sweep)")
+                    help="sequential sweep block size (0 = scalar "
+                         "sweep); the distributed sweep ignores it")
     pc.add_argument(
         "--rebalance", action="store_true",
         help="enable the mid-run work-stealing repartitioner "
@@ -354,6 +359,23 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.method == "sequential":
+        given = [
+            flag for flag, value in
+            (("--ranks", args.ranks), ("--backend", args.backend))
+            if value is not None
+        ]
+        if given:
+            print(
+                f"error: {' and '.join(given)} cannot be used with "
+                f"--method sequential (it runs on one process)",
+                file=sys.stderr,
+            )
+            return 2
+    if args.ranks is None:
+        args.ranks = 4
+    if args.backend is None:
+        args.backend = "threads"
     graph, labels = _load_graph(args)
     cfg_kwargs: dict = {
         "seed": args.seed,

@@ -23,7 +23,6 @@ from .kernels import (
     drift_guard_bound,
     score_block,
     score_block_stats,
-    score_block_table,
 )
 from .mapequation import (
     ModuleStats,
@@ -93,7 +92,6 @@ __all__ = [
     "plogp",
     "score_block",
     "score_block_stats",
-    "score_block_table",
     "sequential_infomap",
     "warm_distributed_infomap",
     "warm_seed_membership",

@@ -118,12 +118,15 @@ class InfomapConfig:
             ``backend=`` argument to the solver entry points overrides
             this field.
         batch_size: vertices scored per batched move-evaluation call
-            (see :mod:`repro.core.kernels`).  The batch path is
-            decision-equivalent to the scalar kernels by construction
-            (snapshot scoring + drift guard + scalar fallback), so this
-            only trades memory/locality against vectorization; ``0``
-            disables batching entirely (the legacy one-vertex-at-a-time
-            path, kept for ablations and equivalence tests).
+            of the *sequential* sweep (see :mod:`repro.core.kernels`).
+            The batch path is decision-equivalent to the scalar kernel
+            by construction (snapshot scoring + drift guard + scalar
+            fallback), so this only trades memory/locality against
+            vectorization; ``0`` disables batching entirely (the legacy
+            one-vertex-at-a-time path, kept for ablations and
+            equivalence tests).  The distributed solver ignores it: its
+            sweep is one compiled call per sub-sweep
+            (:mod:`repro.core.sweepkernel`).
         overlap: when True (default) the distributed sweep splits each
             rank's vertices into boundary (ghosted on some peer) and
             interior sets, commits the boundary first, posts the

@@ -32,8 +32,6 @@ time for the scalability figures.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any
 
@@ -51,14 +49,10 @@ from ..simmpi.costmodel import MachineModel
 from ..simmpi.engine import run_spmd
 from .config import InfomapConfig
 from .flow import FlowNetwork
-from .kernels import (
-    aggregate_module_flows,
-    drift_guard_bound,
-    score_block_table,
-)
-from .mapequation import delta_from_values, plogp
+from .mapequation import plogp
 from .result import ClusteringResult, LevelRecord
 from .swap import Contribution, LocalModuleState
+from .sweepkernel import SweepKernel
 from .timing import (
     PHASE_BROADCAST_DELEGATES,
     PHASE_FIND_BEST,
@@ -78,368 +72,21 @@ __all__ = [
 log = get_logger("core.distributed")
 
 
-# ---------------------------------------------------------------------------
-# Move evaluation against the swap-maintained table
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Decision:
-    local_idx: int
-    current: int
-    target: int
-    delta: float
-    p_u: float
-    x_u: float
-    d_old: float
-    d_new: float
+_NO_MODULES = np.empty(0, dtype=np.int64)
 
 
-def _score_candidates(
-    state: LocalModuleState,
-    cfg: InfomapConfig,
-    boundary_mods: "set[int]",
-    *,
-    li: int,
-    current: int,
-    uniq: np.ndarray,
-    agg: np.ndarray,
-    p_u: float,
-    x_u: float,
-) -> "_Decision | None":
-    """Score the candidate modules in ``(uniq, agg)`` and pick a move.
-
-    ``uniq`` must be sorted unique module ids with ``agg`` the vertex's
-    link flow into each; the anti-bouncing rules of §3.4 are applied
-    here so both the low-degree sweep and the delegate-consensus path
-    behave identically.
-    """
-    get_q, get_p, get_n = state.table_getters()
-    pos = np.searchsorted(uniq, current)
-    d_old = float(agg[pos]) if pos < uniq.size and uniq[pos] == current else 0.0
-
-    cand_mask = uniq != current
-    if cfg.min_label and boundary_mods:
-        # §3.4 minimum-label strategy (after Lu et al.): the bouncing
-        # failure is two vertices *swapping* communities in the same
-        # synchronized round, which (for strictly improving greedy
-        # moves) requires both sides to be singleton modules.  Such a
-        # merge is therefore only admitted toward the smaller module id
-        # when the target is a boundary community; one direction
-        # proceeds, the swap cannot.  All other moves stay unrestricted
-        # so mass is not ratcheted into small-id modules.
-        if get_n(current, 1) == 1:
-            for i in np.flatnonzero(cand_mask):
-                m = int(uniq[i])
-                if (
-                    m > current
-                    and m in boundary_mods
-                    and get_n(m, 1) == 1
-                ):
-                    cand_mask[i] = False
-    if not cand_mask.any():
-        return None
-    cand = uniq[cand_mask]
-    cand_flow = agg[cand_mask]
-
-    if cfg.move_rule == "max_flow":
-        # GossipMap-family rule (§2.3): adopt the neighbouring module
-        # that receives the most of this vertex's link flow, provided
-        # it strictly beats the flow kept by the current module.  No
-        # codelength is consulted.
-        best_idx = int(np.argmax(cand_flow))
-        best_flow = float(cand_flow[best_idx])
-        if best_flow <= d_old + 1e-15:
-            return None
-        # Deterministic tie-break toward the smaller module id.
-        tied = np.flatnonzero(cand_flow >= best_flow - 1e-15)
-        best_idx = int(tied[0])
-        return _Decision(
-            local_idx=li, current=current, target=int(cand[best_idx]),
-            delta=0.0, p_u=p_u, x_u=x_u, d_old=d_old,
-            d_new=float(cand_flow[best_idx]),
-        )
-
-    q_old = get_q(current, 0.0)
-    p_old = get_p(current, 0.0)
-
-    # Scalar math (math.log2) beats numpy temporaries by ~10x on the
-    # 2-8 candidate modules a real vertex has; the vectorized kernel in
-    # mapequation remains the reference the tests cross-check against.
-    log2 = math.log2
-    sum_exit = state.sum_exit_global
-    q_old_after = q_old - x_u + 2.0 * d_old
-    p_old_after = p_old - p_u
-    base_old = (
-        -2.0 * (_plogp_s(q_old_after, log2) - _plogp_s(q_old, log2))
-        + _plogp_s(q_old_after + p_old_after, log2)
-        - _plogp_s(q_old + p_old, log2)
-    )
-    ge = get_q
-    gp = get_p
-
-    deltas: list[float] = []
-    for m, d_new in zip(cand.tolist(), cand_flow.tolist()):
-        q_new = ge(m, 0.0)
-        p_new = gp(m, 0.0)
-        q_new_after = q_new + x_u - 2.0 * d_new
-        se_after = sum_exit + (q_old_after - q_old) + (q_new_after - q_new)
-        deltas.append(
-            _plogp_s(se_after, log2) - _plogp_s(sum_exit, log2)
-            + base_old
-            - 2.0 * (_plogp_s(q_new_after, log2) - _plogp_s(q_new, log2))
-            + _plogp_s(q_new_after + p_new + p_u, log2)
-            - _plogp_s(q_new + p_new, log2)
-        )
-
-    best_idx = min(range(len(deltas)), key=deltas.__getitem__)
-    best_delta = deltas[best_idx]
-    if best_delta >= -cfg.min_improvement:
-        return None
-
-    target = int(cand[best_idx])
-    if cfg.min_label and target in boundary_mods:
-        # Near-ties also break toward the minimum label, so that two
-        # ranks scoring the same vertex pick the same winner.
-        for i, dl in enumerate(deltas):  # cand ascends by module id
-            if dl <= best_delta + cfg.tie_eps:
-                best_idx = i
-                break
-        best_delta = deltas[best_idx]
-        target = int(cand[best_idx])
-
-    return _Decision(
-        local_idx=li, current=current, target=target, delta=best_delta,
-        p_u=p_u, x_u=x_u, d_old=d_old, d_new=float(cand_flow[best_idx]),
-    )
-
-
-def _plogp_s(x: float, log2=math.log2) -> float:
-    """Scalar ``x log2 x`` with 0·log0 = 0 and negative-dust clamping."""
-    return x * log2(x) if x > 1e-300 else 0.0
-
-
-def _local_module_flows(
-    state: LocalModuleState, li: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Vertex *li*'s locally-stored link flow per neighbouring module.
-
-    Returns ``(sorted module ids, flows, x_u_local)``; self-loops are
-    excluded.  For owned low-degree vertices this is the vertex's full
-    adjacency (delegate placement guarantees it); for hub copies it is
-    the local subset.
-    """
-    lg = state.lg
-    nbrs, flows = lg.neighbors_of(li)
-    nonself = nbrs != li
-    if not nonself.all():
-        nbrs = nbrs[nonself]
-        flows = flows[nonself]
-    if nbrs.size == 0:
-        return np.empty(0, np.int64), np.empty(0), 0.0
-    # Shared with the sequential scalar path and (bitwise, see the
-    # contract on aggregate_module_flows) with the batch kernel's
-    # segment reduction — so the paths cannot drift apart again.
-    return aggregate_module_flows(state.module_of[nbrs], flows)
-
-
-# Certification slack for the batched sweep: the batch kernel computes
-# deltas with numpy plogp while _score_candidates uses math.log2 in a
-# different association order, so batch-certified decisions (stays AND
-# commits) must survive a few ulps of disagreement on top of the
-# analytic drift bound.  The slack strictly dominates the actual
-# disagreement (~1e-14 on O(1) deltas), which is what makes the
-# certified-commit inequalities strict where the scalar comparisons
-# are.
-_BATCH_STAY_SLACK = 1e-12
-# Below this many active vertices the per-round table-snapshot build
-# costs more than the scalar loop it replaces.
-_BATCH_MIN_ACTIVE = 32
-
-
-def _batched_local_sweep(
-    state: LocalModuleState,
-    cfg: InfomapConfig,
-    boundary_mods: "set[int]",
-    act: np.ndarray,
-    id_space: int,
-    touched: np.ndarray,
-    moved_local: "list[int]",
-    changed_mods: "set[int]",
-) -> tuple[int, int]:
-    """Batched Find-Best-Module sweep over the active owned vertices.
-
-    Full batch scoring: each chunk is scored in one vectorized shot
-    against a fresh table snapshot (near-free with the array backend —
-    a live view of the :class:`ModuleTable` columns), with the
-    min-label candidate filter applied *inside* the kernel, and both
-    outcomes are batch-certified where the numbers allow it:
-
-    * certified stay — ``margin >= e`` where
-      ``e = drift_guard_bound(..) + slack``: the scalar evaluator
-      provably finds no improving move, skip outright;
-    * certified commit — ``margin <= -e`` and ``runner_gap >= 2e``:
-      the scalar argmin provably equals the batch argmin, commit it
-      directly (after certifying the min-label near-tie re-break on
-      the retained per-candidate deltas: the first admissible
-      candidate within ``tie_eps`` of the best must be decidable to
-      ``±2e``, otherwise it is a gray zone).
-
-    Everything else — vertices whose current/candidate modules were
-    touched by an earlier commit in the *same chunk*, and gray-zone
-    margins/re-breaks — goes through the scalar ``_evaluate_move``, so
-    the committed decision sequence (and hence the table) is identical
-    to the scalar loop's, bitwise.  The certified-commit inequalities
-    are sound because the batch/scalar delta disagreement is strictly
-    below ``slack`` (numpy-vs-math.log2 ulps) plus the analytic drift
-    bound; flows/p_u/x_u/d_old are bitwise shared with the scalar path
-    via :func:`repro.core.kernels.aggregate_module_flows`, so a
-    certified commit applies exactly the scalar update.
-
-    Returns ``(local_moves, work)``; ``touched`` is scratch (cleared
-    before returning).
-    """
-    lg = state.lg
-    mi = cfg.min_improvement
-    tie = cfg.tie_eps
-    moves = 0
-    work = 0
-    bs = cfg.batch_size
-    use_minlabel = cfg.min_label and bool(boundary_mods)
-    bmods_arr = (
-        np.fromiter(
-            sorted(boundary_mods), dtype=np.int64, count=len(boundary_mods)
-        )
-        if use_minlabel else None
-    )
-    snap = None  # rebound per chunk; the closure below reads it
-
-    def minlabel_mask(agg):
-        # §3.4 as a vectorized mask (same rule as _score_candidates):
-        # a singleton vertex may not merge *upward* into a singleton
-        # boundary module.
-        sing_cur = snap.lookup_members(agg.current, default=1) == 1
-        seg_n = snap.lookup_members(agg.seg_mods, default=1)
-        removable = (
-            sing_cur[agg.seg_owner]
-            & (agg.seg_mods > agg.current[agg.seg_owner])
-            & (seg_n == 1)
-            & np.isin(agg.seg_mods, bmods_arr)
-        )
-        return ~removable
-
-    for lo in range(0, act.size, bs):
-        chunk = act[lo : lo + bs]
-        work += int(np.sum(lg.indptr[chunk + 1] - lg.indptr[chunk]))
-        snap = state.table_arrays()
-        agg, score = score_block_table(
-            state, snap, chunk, id_space=id_space,
-            cand_mask_fn=minlabel_mask if use_minlabel else None,
-            keep_candidates=True,
-        )
-        # The chunk was scored with the *live* exit sum, so the drift
-        # guard measures drift from this value; the snapshot is fresh,
-        # so only commits within this chunk can invalidate it.
-        s_chunk = state.sum_exit_global
-        margins = score.best_delta + mi
-        if bool((margins >= _BATCH_STAY_SLACK).all()):
-            continue  # whole chunk provably stays (zero drift yet)
-        dirty: list[int] = []
-        for i in range(chunk.size):
-            li = int(chunk[i])
-            cur = int(agg.current[i])
-            if dirty:
-                a = int(agg.seg_ptr[i])
-                b = int(agg.seg_ptr[i + 1])
-                affected = bool(touched[cur]) or (
-                    a < b and bool(touched[agg.seg_mods[a:b]].any())
-                )
-            else:
-                affected = False
-            if not affected:
-                s_now = state.sum_exit_global
-                e = drift_guard_bound(
-                    s_now - s_chunk, float(agg.x_u[i]), s_chunk, s_now
-                ) + _BATCH_STAY_SLACK
-                margin = float(margins[i])
-                if margin >= e:
-                    continue  # certified stay
-                if margin <= -e and float(score.runner_gap[i]) >= 2.0 * e:
-                    tgt = int(score.best_target[i])
-                    d_new = float(score.best_d_new[i])
-                    certified = True
-                    if cfg.min_label and tgt in boundary_mods:
-                        # Certify the near-tie re-break: the scalar
-                        # path re-targets the first candidate within
-                        # tie_eps of its best, scanning ascending
-                        # module ids.
-                        ca = int(score.cand_ptr[i])
-                        cb = int(score.cand_ptr[i + 1])
-                        cd = score.cand_deltas[ca:cb]
-                        thresh = float(score.best_delta[i]) + tie
-                        j = int(np.argmax(cd <= thresh + 2.0 * e))
-                        if int(score.cand_mods[ca + j]) == tgt:
-                            pass  # re-break lands on the argmin itself
-                        elif float(cd[j]) <= thresh - 2.0 * e:
-                            tgt = int(score.cand_mods[ca + j])
-                            d_new = float(score.cand_flows[ca + j])
-                        else:
-                            certified = False  # gray zone: scalar decides
-                    if certified:
-                        state.apply_local_move(
-                            li, tgt,
-                            p_u=float(agg.p_u[i]), x_u=float(agg.x_u[i]),
-                            d_old=float(agg.d_old[i]), d_new=d_new,
-                        )
-                        moves += 1
-                        moved_local.append(li)
-                        changed_mods.add(cur)
-                        changed_mods.add(tgt)
-                        touched[cur] = True
-                        touched[tgt] = True
-                        dirty.append(cur)
-                        dirty.append(tgt)
-                        continue
-            dec = _evaluate_move(state, li, cfg, boundary_mods)
-            if dec is not None:
-                state.apply_local_move(
-                    dec.local_idx, dec.target,
-                    p_u=dec.p_u, x_u=dec.x_u,
-                    d_old=dec.d_old, d_new=dec.d_new,
-                )
-                moves += 1
-                moved_local.append(li)
-                changed_mods.add(dec.current)
-                changed_mods.add(dec.target)
-                touched[dec.current] = True
-                touched[dec.target] = True
-                dirty.append(dec.current)
-                dirty.append(dec.target)
-        if dirty:
-            touched[np.asarray(dirty, dtype=np.int64)] = False
-    return moves, work
-
-
-def _evaluate_move(
-    state: LocalModuleState,
-    li: int,
-    cfg: InfomapConfig,
-    boundary_mods: "set[int]",
-) -> "_Decision | None":
-    """Best strictly-improving move for local vertex *li*, or None.
-
-    Mirrors the sequential kernel but reads module aggregates from the
-    rank's table (own contribution + swapped neighbour contributions)
-    and applies the anti-bouncing rules to boundary targets.
-    """
-    uniq, agg, x_u = _local_module_flows(state, li)
-    if uniq.size == 0:
-        return None
-    return _score_candidates(
-        state, cfg, boundary_mods,
-        li=li, current=int(state.module_of[li]),
-        uniq=uniq, agg=agg,
-        p_u=float(state.lg.flow[li]), x_u=x_u,
-    )
+def _add_proposals(
+    proposals: "dict[int, tuple[float, int]]",
+    hubs: np.ndarray,
+    targets: np.ndarray,
+    deltas: np.ndarray,
+) -> None:
+    """Record ``(delta, target)`` for every hub the kernel moves."""
+    sel = targets >= 0
+    for h, d, t in zip(
+        hubs[sel].tolist(), deltas[sel].tolist(), targets[sel].tolist()
+    ):
+        proposals[h] = (d, t)
 
 
 # ---------------------------------------------------------------------------
@@ -667,12 +314,7 @@ def _cluster_rounds(
         ].copy()
     else:
         active = np.ones(lg.num_owned, dtype=bool)
-    use_batch = cfg.batch_size > 0 and cfg.move_rule == "map_equation"
-    # Scratch module-touched flags for the batched sweep, allocated
-    # once per level (cleared by the sweep itself).
-    batch_touched = (
-        np.zeros(id_space, dtype=bool) if use_batch else None
-    )
+    kernel = SweepKernel(lg, cfg)
     # Owned vertices some peer ghosts: their post-sweep memberships are
     # exactly the membership-sync payload, so committing them first
     # lets the sync exchange drain while the interior sweeps (§3.4
@@ -704,31 +346,20 @@ def _cluster_rounds(
         changed_mods: set[int] = set()
         def _sweep_subset(sub: np.ndarray) -> tuple[int, int]:
             """Score+commit one sub-sweep; returns ``(moves, work)``."""
-            if use_batch and sub.size >= _BATCH_MIN_ACTIVE:
-                return _batched_local_sweep(
-                    state, cfg, bmods, sub, id_space, batch_touched,
-                    moved_local, changed_mods,
-                )
-            mv = 0
-            wk = 0
-            for li in sub:
-                li = int(li)
-                wk += int(lg.indptr[li + 1] - lg.indptr[li])
-                dec = _evaluate_move(state, li, cfg, bmods)
-                if dec is not None:
-                    state.apply_local_move(
-                        dec.local_idx, dec.target,
-                        p_u=dec.p_u, x_u=dec.x_u,
-                        d_old=dec.d_old, d_new=dec.d_new,
-                    )
-                    mv += 1
-                    moved_local.append(li)
-                    changed_mods.add(dec.current)
-                    changed_mods.add(dec.target)
-            return mv, wk
+            old = state.module_of[sub]
+            targets, _deltas, wk = kernel.sweep(
+                state, bmods, sub, commit=True
+            )
+            sel = targets >= 0
+            moved_local.extend(sub[sel].tolist())
+            changed_mods.update(old[sel].tolist())
+            changed_mods.update(targets[sel].tolist())
+            return int(np.count_nonzero(sel)), wk
 
         with timer.phase(PHASE_FIND_BEST):
-            bmods = state.boundary_modules() if cfg.min_label else set()
+            bmods = (
+                state.boundary_modules() if cfg.min_label else _NO_MODULES
+            )
             act = order[active[order]]
             frontier = int(act.size)
             # Boundary-first split: commit every active ghosted vertex,
@@ -880,36 +511,34 @@ def _cluster_rounds(
                             bnd = np.searchsorted(
                                 ho_arr, np.arange(lg.num_hubs + 1)
                             )
-                            for ho in rescore_hubs.tolist():
-                                a, b = int(bnd[ho]), int(bnd[ho + 1])
-                                if a == b:
-                                    continue
-                                hi = lg.num_owned + ho
-                                dec = _score_candidates(
-                                    state, cfg, bmods,
-                                    li=hi,
-                                    current=int(state.module_of[hi]),
-                                    uniq=mod_arr[a:b], agg=gf[a:b],
-                                    p_u=float(lg.flow[hi]),
-                                    x_u=float(lg.exit0[hi]),
-                                )
-                                if dec is not None:
-                                    proposals[int(lg.global_of[hi])] = (
-                                        dec.delta, dec.target
-                                    )
+                            # Every merged key belongs to a rescore hub,
+                            # so the hubs with flows tile the key range:
+                            # score them all in one kernel call.
+                            hos = rescore_hubs[
+                                bnd[rescore_hubs + 1] > bnd[rescore_hubs]
+                            ]
+                            seg_ptr = np.append(bnd[hos], mod_arr.size)
+                            his = lg.num_owned + hos
+                            targets, deltas = kernel.score_flows(
+                                state, bmods, seg_ptr, mod_arr, gf,
+                                state.module_of[his], lg.flow[his],
+                                lg.exit0[his],
+                            )
+                            _add_proposals(
+                                proposals, lg.global_of[his], targets, deltas
+                            )
             else:
                 # "min_local": the paper's literal rule — each rank
                 # proposes the best move it sees from its local subset
                 # of the hub's edges.
                 with timer.phase(PHASE_FIND_BEST):
-                    hwork = 0
-                    for hi in range(lg.num_owned, lg.num_owned + lg.num_hubs):
-                        hwork += int(lg.indptr[hi + 1] - lg.indptr[hi])
-                        dec = _evaluate_move(state, hi, cfg, bmods)
-                        if dec is not None:
-                            proposals[int(lg.global_of[hi])] = (
-                                dec.delta, dec.target
-                            )
+                    his = np.arange(lg.num_owned, lg.num_owned + lg.num_hubs)
+                    targets, deltas, hwork = kernel.sweep(
+                        state, bmods, his, commit=False
+                    )
+                    _add_proposals(
+                        proposals, lg.global_of[his], targets, deltas
+                    )
                     timer.add_work(PHASE_FIND_BEST, hwork)
             with timer.phase(PHASE_BROADCAST_DELEGATES):
                 # Ship the proposals as three typed columns through an
@@ -1112,6 +741,7 @@ def _cluster_rounds(
                     active = outcome.active
                     order = np.arange(lg.num_owned)
                     C = _build_level_caches(lg, state, comm.size)
+                    kernel = SweepKernel(lg, cfg)
                 # Bystander ranks keep their objects but the migration
                 # repairs ``boundary_local`` in place — refresh the
                 # mask on every outcome, structural or not.
@@ -1150,11 +780,13 @@ def _merge_to_coarse(
     with timer.phase(PHASE_OTHER):
         mod_src = state.module_of[state._entry_src]
         mod_dst = state.module_of[lg.nbr]
-        a = np.minimum(mod_src, mod_dst)
-        b = np.maximum(mod_src, mod_dst)
-        self_entry = lg.nbr == state._entry_src
-        w = lg.nbr_flow * np.where(self_entry, 2.0, 1.0)
-        key = a.astype(np.int64) * np.int64(id_space) + b
+        key = np.minimum(mod_src, mod_dst).astype(np.int64) * np.int64(
+            id_space
+        ) + np.maximum(mod_src, mod_dst)
+        w = lg.nbr_flow * np.where(lg.nbr == state._entry_src, 2.0, 1.0)
+        # Entry-sized temporaries: free them before np.unique allocates
+        # its own, which bounds the solve's peak memory.
+        del mod_src, mod_dst
         uk, inv = np.unique(key, return_inverse=True)
         kw = np.bincount(inv, weights=w, minlength=uk.size)
 

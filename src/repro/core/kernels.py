@@ -1,10 +1,10 @@
 """Batched move evaluation: score a whole block of vertices at once.
 
-The scalar kernels (:func:`repro.core.moves.best_move` and the
-distributed ``_evaluate_move``) pay ~8 tiny numpy calls *per vertex*,
-so interpreter overhead — not arithmetic — dominates greedy sweeps.
-This module evaluates every candidate move of a whole block of vertices
-in O(1) numpy calls:
+The sequential solver's scalar kernel
+(:func:`repro.core.moves.best_move`) pays ~8 tiny numpy calls *per
+vertex*, so interpreter overhead — not arithmetic — dominates greedy
+sweeps.  This module evaluates every candidate move of a whole block
+of vertices in O(1) numpy calls:
 
 1. gather the block's CSR adjacency slices in one shot
    (:func:`repro.graph.graph.gather_rows`),
@@ -79,7 +79,6 @@ __all__ = [
     "aggregate_module_flows",
     "score_block",
     "score_block_stats",
-    "score_block_table",
     "drift_guard_bound",
 ]
 
@@ -96,10 +95,11 @@ def aggregate_module_flows(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Aggregate one vertex's link flows per neighbouring module.
 
-    The single shared scalar-path reduction: both the sequential
-    :func:`repro.core.moves.neighbor_module_flows` and the distributed
-    ``_local_module_flows`` route through here, so their numbers cannot
-    drift apart from the batch kernel's (the PR-1 review bug class).
+    The sequential scalar path's reduction
+    (:func:`repro.core.moves.neighbor_module_flows` routes through
+    here), so its numbers cannot drift apart from the batch kernel's.
+    The distributed solver's compiled sweep (``sweepkernel.c``)
+    reproduces the same accumulation order.
 
     Returns ``(sorted unique module ids, aggregated flows, x_u)``.
     Bitwise contract (see module docs): per-module sums accumulate
@@ -154,22 +154,12 @@ class BlockScore:
     to the second-best candidate (``+inf`` when there is none) — the
     quantity the drift guard needs to certify that the argmin cannot
     have flipped.
-
-    When scored with ``keep_candidates=True`` the per-candidate arrays
-    are retained: ``cand_mods[cand_ptr[i]:cand_ptr[i+1]]`` are vertex
-    ``i``'s admissible targets in ascending module order with their
-    deltas/flows — what the distributed batch path needs to certify
-    min-label tie re-breaks without rescoring.
     """
 
     best_target: np.ndarray  # int64[B]
     best_delta: np.ndarray  # float64[B]
     best_d_new: np.ndarray  # float64[B]
     runner_gap: np.ndarray  # float64[B]
-    cand_ptr: "np.ndarray | None" = None  # int64[B+1]
-    cand_mods: "np.ndarray | None" = None  # int64[C]
-    cand_deltas: "np.ndarray | None" = None  # float64[C]
-    cand_flows: "np.ndarray | None" = None  # float64[C]
 
 
 def aggregate_block_flows(
@@ -250,24 +240,15 @@ def score_block(
     q_old: np.ndarray,
     p_old: np.ndarray,
     sum_exit: float,
-    cand_mask: "np.ndarray | None" = None,
-    keep_candidates: bool = False,
 ) -> BlockScore:
     """Stage 4: one ΔL evaluation over every candidate of every vertex.
 
     Args:
         q_seg, p_seg: exit flow / visit mass of ``agg.seg_mods`` (the
-            caller resolves them — dense ``ModuleStats`` arrays for the
-            sequential path, a sorted table snapshot for the
-            distributed one).
+            caller resolves them from dense ``ModuleStats`` arrays).
         q_old, p_old: the same aggregates for each vertex's current
             module (``float64[B]``).
         sum_exit: global Σq at snapshot time.
-        cand_mask: optional ``bool[S]`` admissibility mask over
-            ``agg.seg_mods`` — ``False`` entries are never targets (the
-            distributed min-label rule removes candidates this way).
-        keep_candidates: retain per-candidate deltas in the result (see
-            :class:`BlockScore`).
     """
     b = agg.block.size
     best_target = agg.current.copy()
@@ -276,17 +257,7 @@ def score_block(
     runner_gap = np.full(b, np.inf)
 
     cand = agg.seg_mods != agg.current[agg.seg_owner]
-    if cand_mask is not None:
-        cand &= cand_mask
     if not bool(cand.any()):
-        if keep_candidates:
-            return BlockScore(
-                best_target, best_delta, best_d_new, runner_gap,
-                cand_ptr=np.zeros(b + 1, dtype=np.int64),
-                cand_mods=np.empty(0, np.int64),
-                cand_deltas=np.empty(0),
-                cand_flows=np.empty(0),
-            )
         return BlockScore(best_target, best_delta, best_d_new, runner_gap)
 
     cown = agg.seg_owner[cand]
@@ -323,12 +294,6 @@ def score_block(
     masked = deltas.copy()
     masked[first] = np.inf
     runner_gap[nz] = np.minimum.reduceat(masked, starts) - mins
-    if keep_candidates:
-        return BlockScore(
-            best_target, best_delta, best_d_new, runner_gap,
-            cand_ptr=cptr, cand_mods=cmods, cand_deltas=deltas,
-            cand_flows=cflow,
-        )
     return BlockScore(best_target, best_delta, best_d_new, runner_gap)
 
 
@@ -351,37 +316,6 @@ def score_block_stats(
         q_old=stats.exit[agg.current],
         p_old=stats.sum_p[agg.current],
         sum_exit=stats.sum_exit,
-    )
-    return agg, score
-
-
-def score_block_table(
-    state,
-    table,
-    block: np.ndarray,
-    *,
-    id_space: int,
-    cand_mask_fn=None,
-    keep_candidates: bool = False,
-) -> tuple[BlockAggregates, BlockScore]:
-    """Distributed-path wrapper: score owned vertices against a
-    :class:`repro.core.swap.TableArrays` snapshot.
-
-    ``cand_mask_fn(agg)``, when given, returns a ``bool[S]``
-    admissibility mask over ``agg.seg_mods`` (the min-label filter).
-    """
-    lg = state.lg
-    agg = aggregate_block_flows(
-        lg.indptr, lg.nbr, lg.nbr_flow, block, state.module_of, lg.flow,
-        id_space=id_space,
-    )
-    q_seg, p_seg = table.lookup(agg.seg_mods)
-    q_old, p_old = table.lookup(agg.current)
-    score = score_block(
-        agg, q_seg=q_seg, p_seg=p_seg, q_old=q_old, p_old=p_old,
-        sum_exit=state.sum_exit_global,
-        cand_mask=None if cand_mask_fn is None else cand_mask_fn(agg),
-        keep_candidates=keep_candidates,
     )
     return agg, score
 

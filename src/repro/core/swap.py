@@ -71,10 +71,9 @@ class TableArrays:
     """Array-backed snapshot of a rank's module table.
 
     A *live view* of the :class:`ModuleTable` columns (near-free to
-    produce) that lets the batched move kernel resolve thousands of
-    ``(q_m, p_m)`` lookups with two ``searchsorted`` calls instead of a
-    Python loop.  Values are the exact stored table floats (missing
-    modules read as 0.0).
+    produce) that resolves thousands of ``(q_m, p_m)`` lookups with two
+    ``searchsorted`` calls instead of a Python loop.  Values are the
+    exact stored table floats (missing modules read as 0.0).
     """
 
     mod_ids: np.ndarray  # int64[k], sorted
@@ -95,24 +94,6 @@ class TableArrays:
             np.where(hit, self.exit[pos_c], 0.0),
             np.where(hit, self.sum_p[pos_c], 0.0),
         )
-
-    def lookup_members(
-        self, mod_ids: np.ndarray, default: int = 1
-    ) -> np.ndarray:
-        """Vectorized member counts, *default* for absent modules.
-
-        The default of 1 mirrors the scalar ``table_members.get(m, 1)``
-        convention of the min-label rule (an unknown module is treated
-        as a singleton).
-        """
-        if self.members is None:
-            raise ValueError("snapshot was built without a members column")
-        if self.mod_ids.size == 0 or mod_ids.size == 0:
-            return np.full(mod_ids.size, default, dtype=np.int64)
-        pos = np.searchsorted(self.mod_ids, mod_ids)
-        pos_c = np.minimum(pos, self.mod_ids.size - 1)
-        hit = self.mod_ids[pos_c] == mod_ids
-        return np.where(hit, self.members[pos_c], default)
 
 
 @dataclass(frozen=True)
@@ -173,11 +154,10 @@ class ModuleTable:
     ``{module id → slot}`` dict gives O(1) scalar lookups; slots
     ``>= ids.size`` index the overflow.
 
-    In-place mutation of the base columns is deliberate: the batch
-    sweep's :class:`TableArrays` "snapshot" of this table is live, and
-    the sweep's certification logic only trusts snapshot entries whose
-    modules are untouched since the chunk was scored (touched modules
-    force the scalar fallback, which reads this table directly).
+    In-place mutation of the base columns is deliberate: the compiled
+    sweep (:mod:`repro.core.sweepkernel`) compacts the table, updates
+    the base columns in place and hands back the modules it created,
+    which land in the overflow through :meth:`insert`.
     """
 
     __slots__ = (
@@ -431,10 +411,12 @@ class LocalModuleState:
         mass_mods = self.module_of[mass_idx]
 
         mod_src = self.module_of[self._entry_src]
-        mod_dst = self.module_of[lg.nbr]
-        cross = mod_src != mod_dst
+        cross = mod_src != self.module_of[lg.nbr]
         exit_mods = mod_src[cross]
         exit_flows = lg.nbr_flow[cross]
+        # Entry-sized temporaries: free them before np.unique allocates
+        # its own, which bounds the peak of a level's first round.
+        del mod_src, cross
 
         # bincount-on-inverse rather than np.add.at: same sequential
         # entry-order accumulation (bitwise), an order of magnitude
@@ -581,6 +563,19 @@ class LocalModuleState:
             mod_ids=t.ids, exit=t.exit, sum_p=t.sum_p,
             members=t.members,
         )
+
+    def insert_modules(
+        self,
+        ids: np.ndarray,
+        exit_: np.ndarray,
+        sum_p: np.ndarray,
+        members: np.ndarray,
+    ) -> None:
+        """Add modules the table does not know yet, in the given order."""
+        for m, q, p, n in zip(
+            ids.tolist(), exit_.tolist(), sum_p.tolist(), members.tolist()
+        ):
+            self._table.insert(m, q, p, n)
 
     def table_lookup(
         self, mod_ids: np.ndarray
@@ -946,16 +941,15 @@ class LocalModuleState:
         return changed
 
     # -- boundary-module tracking (min-label rule) ------------------------------------
-    def boundary_modules(self) -> set[int]:
-        """Modules currently touching a ghost or a boundary vertex.
+    def boundary_modules(self) -> np.ndarray:
+        """Sorted ids of modules touching a ghost or a boundary vertex.
 
         A move *into* one of these is a cross-rank decision, so the
         min-label anti-bouncing rule applies to it (§3.4).
         """
         lg = self.lg
-        mods: set[int] = set(
-            self.module_of[lg.ghost_slice()].tolist()
-        )
-        mods.update(self.module_of[self.lg.boundary_local].tolist())
-        mods.update(self.module_of[lg.hub_slice()].tolist())
-        return mods
+        return np.unique(np.concatenate([
+            self.module_of[lg.ghost_slice()],
+            self.module_of[lg.boundary_local],
+            self.module_of[lg.hub_slice()],
+        ]))

@@ -52,6 +52,25 @@ class TestCluster:
         assert np.unique(labels).size == 4  # cliques recovered
 
     @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--ranks", "2"], "--ranks"),
+            (["--ranks", "4"], "--ranks"),  # the distributed default
+            (["--backend", "procs"], "--backend"),
+            (["--backend", "threads"], "--backend"),
+            (["--ranks", "2", "--backend", "procs"], "--ranks and --backend"),
+        ],
+    )
+    def test_sequential_rejects_ranks_and_backend(self, extra, named, capsys):
+        rc = main(["cluster", "--dataset", "dblp", "--scale", "0.05",
+                   "--method", "sequential", *extra])
+        assert rc != 0
+        captured = capsys.readouterr()
+        assert f"{named} cannot be used with --method sequential" in \
+            captured.err
+        assert "sequential:" not in captured.out  # nothing was solved
+
+    @pytest.mark.parametrize(
         "method", ["louvain", "labelprop", "relaxmap", "gossipmap"]
     )
     def test_baseline_methods(self, method, capsys):

@@ -1,12 +1,14 @@
-"""Batch move-kernel: exact equivalence with the scalar paths.
+"""Move kernels: exact equivalence with the scalar paths.
 
 The batched engine in :mod:`repro.core.kernels` is *decision-equivalent
 by construction*: the sequential sweep guards snapshot scoring with a
 drift bound and falls back to the scalar evaluator whenever the bound
-cannot certify the decision, and the distributed sweep uses the batch
-scores only as a stay-prefilter.  These tests pin the contract down:
-same graph + same config (modulo ``batch_size``) must give *identical*
-memberships and *bitwise-identical* codelengths.
+cannot certify the decision.  The distributed solver's compiled sweep
+(:mod:`repro.core.sweepkernel`) commits the scalar loop's move sequence
+outright.  These tests pin both contracts down end to end: same graph +
+same config (modulo ``batch_size``, or with the scalar reference sweep
+of :mod:`tests.sweep_reference` patched in) must give *identical*
+memberships and *bitwise-identical* codelength histories.
 """
 
 import dataclasses
@@ -28,6 +30,7 @@ from repro.core import (
     score_block_stats,
     sequential_infomap,
 )
+import repro.core.distributed as distributed_mod
 from repro.core.swap import TableArrays
 from repro.graph import (
     barabasi_albert,
@@ -37,6 +40,8 @@ from repro.graph import (
     ring_of_cliques,
 )
 from repro.graph.graph import gather_rows
+
+from .sweep_reference import ReferenceSweep
 
 
 def _cfg(batch_size, **kw):
@@ -249,44 +254,75 @@ class TestSequentialEquivalence:
         assert batch.codelength == scalar.codelength
 
 
+def _reference_run(monkeypatch, graph, nranks, cfg):
+    """``distributed_infomap`` with the scalar reference sweep."""
+    with monkeypatch.context() as m:
+        m.setattr(distributed_mod, "SweepKernel", ReferenceSweep)
+        return distributed_infomap(graph, nranks, cfg)
+
+
+def _assert_same_run(a, b):
+    np.testing.assert_array_equal(a.membership, b.membership)
+    assert a.codelength == b.codelength  # bitwise
+    assert a.extras["codelength_history"] == b.extras["codelength_history"]
+
+
 class TestDistributedEquivalence:
+    """Compiled sweep vs the scalar reference loop, whole solves."""
+
     @pytest.mark.parametrize("nranks", [1, 2, 4])
     @pytest.mark.parametrize("min_label", [True, False])
-    def test_identical_membership_and_codelength(self, nranks, min_label):
+    def test_identical_membership_and_codelength(
+        self, nranks, min_label, monkeypatch
+    ):
         g = planted_partition(5, 20, 0.4, 0.02, seed=3).graph
-        scalar = distributed_infomap(
-            g, nranks, _cfg(0, seed=5, min_label=min_label)
+        cfg = _cfg(256, seed=5, min_label=min_label)
+        _assert_same_run(
+            distributed_infomap(g, nranks, cfg),
+            _reference_run(monkeypatch, g, nranks, cfg),
         )
-        batch = distributed_infomap(
-            g, nranks, _cfg(256, seed=5, min_label=min_label)
-        )
-        np.testing.assert_array_equal(batch.membership, scalar.membership)
-        assert batch.codelength == scalar.codelength  # bitwise
 
-    def test_delegates_forced_low_d_high(self):
+    def test_delegates_forced_low_d_high(self, monkeypatch):
         # d_high=2 turns nearly every vertex into a hub with delegates,
-        # exercising the boundary/ghost-module paths of the prefilter.
+        # exercising the boundary/ghost-module and hub-consensus paths.
         g = powerlaw_planted_partition(300, 6, mu=0.25, seed=8).graph
-        scalar = distributed_infomap(g, 4, _cfg(0, seed=2, d_high=2))
-        batch = distributed_infomap(g, 4, _cfg(64, seed=2, d_high=2))
-        np.testing.assert_array_equal(batch.membership, scalar.membership)
-        assert batch.codelength == scalar.codelength
+        cfg = _cfg(64, seed=2, d_high=2)
+        _assert_same_run(
+            distributed_infomap(g, 4, cfg),
+            _reference_run(monkeypatch, g, 4, cfg),
+        )
 
-    def test_scale_free_multirank(self):
+    def test_scale_free_multirank(self, monkeypatch):
         g = barabasi_albert(400, 3, seed=12)
-        scalar = distributed_infomap(g, 3, _cfg(0, seed=0))
-        batch = distributed_infomap(g, 3, _cfg(256, seed=0))
-        np.testing.assert_array_equal(batch.membership, scalar.membership)
-        assert batch.codelength == scalar.codelength
+        cfg = _cfg(256, seed=0)
+        _assert_same_run(
+            distributed_infomap(g, 3, cfg),
+            _reference_run(monkeypatch, g, 3, cfg),
+        )
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"move_rule": "max_flow"},
+            {"delegate_consensus": "min_local", "d_high": 3},
+        ],
+    )
+    def test_other_rules_and_consensus(self, extra, monkeypatch):
+        g = powerlaw_planted_partition(300, 6, mu=0.25, seed=8).graph
+        cfg = _cfg(256, seed=2, **extra)
+        _assert_same_run(
+            distributed_infomap(g, 3, cfg),
+            _reference_run(monkeypatch, g, 3, cfg),
+        )
 
 
 class TestBatchSmoke4Ranks:
-    def test_batch_path_runs_under_four_ranks(self):
-        """Tier-1 smoke: the batched prefilter actually engages (block
-        floor exceeded) and the run converges to a sane partition."""
+    def test_batch_path_runs_under_four_ranks(self, monkeypatch):
+        """Tier-1 smoke: the compiled sweep runs under four ranks,
+        converges to a sane partition and matches the reference."""
         lg = powerlaw_planted_partition(600, 10, mu=0.2, seed=21)
-        res = distributed_infomap(lg.graph, 4, _cfg(256, seed=1))
+        cfg = _cfg(256, seed=1)
+        res = distributed_infomap(lg.graph, 4, cfg)
         assert res.num_modules > 1
         assert res.codelength > 0.0
-        scalar = distributed_infomap(lg.graph, 4, _cfg(0, seed=1))
-        assert res.codelength == scalar.codelength
+        _assert_same_run(res, _reference_run(monkeypatch, lg.graph, 4, cfg))

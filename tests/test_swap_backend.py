@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.distributed as distributed_mod
 from repro.core import FlowNetwork, InfomapConfig, distributed_infomap
 from repro.core.swap import LocalModuleState
 from repro.graph import (
@@ -26,6 +27,8 @@ from repro.graph import (
 )
 from repro.partition import delegate_partition, local_views_delegate
 from repro.simmpi import decode_frame, encode_frame, payload_nbytes, run_spmd
+
+from .sweep_reference import ReferenceSweep
 
 
 def _assert_cols_equal(a, b):
@@ -79,13 +82,25 @@ class TestEndToEndCopyModeEquivalence:
         )
 
     @pytest.mark.parametrize("batch_size", [0, 256])
-    def test_equivalence_holds_with_and_without_batching(self, batch_size):
+    def test_equivalence_holds_with_and_without_batching(
+        self, batch_size, monkeypatch
+    ):
+        # The distributed solver ignores batch_size; both copy modes
+        # must also match a solve on the scalar reference sweep.
         lg = ring_of_cliques(8, 6)
         base = InfomapConfig(seed=2, batch_size=batch_size)
         f = distributed_infomap(lg.graph, 4, base, copy_mode="frames")
         p = distributed_infomap(lg.graph, 4, base, copy_mode="pickle")
-        np.testing.assert_array_equal(f.membership, p.membership)
-        assert f.codelength == p.codelength
+        with monkeypatch.context() as m:
+            m.setattr(distributed_mod, "SweepKernel", ReferenceSweep)
+            ref = distributed_infomap(lg.graph, 4, base, copy_mode="pickle")
+        for other in (p, ref):
+            np.testing.assert_array_equal(f.membership, other.membership)
+            assert f.codelength == other.codelength
+            assert (
+                f.extras["codelength_history"]
+                == other.extras["codelength_history"]
+            )
 
 
 def _paired_states(seed=0):
