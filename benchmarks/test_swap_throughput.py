@@ -1,4 +1,4 @@
-"""Swap-protocol throughput for the array-backed ModuleTable.
+"""Swap-protocol throughput for the sorted-column module table.
 
 Not a paper figure — this tracks the absolute throughput of the full
 swap+rebuild cycle (membership churn → membership-sync delta →
@@ -58,13 +58,6 @@ def _churn_schedule(views):
 
 def _run_cycle(views, schedule):
     states = [LocalModuleState(v) for v in views]
-    ghost_indexes = [
-        {
-            int(v.global_of[li]): li
-            for li in range(v.num_owned + v.num_hubs, v.num_local)
-        }
-        for v in views
-    ]
     nranks = len(views)
     t0 = time.perf_counter()
     for per_rank in schedule:
@@ -77,7 +70,7 @@ def _run_cycle(views, schedule):
                 for src in range(nranks)
                 if src != dest and dest in sync[src]
             ]
-            states[dest].apply_membership_sync(inbox, ghost_indexes[dest])
+            states[dest].apply_membership_sync(inbox)
         owns = [st.contribution() for st in states]
         deltas = [
             st.prepare_swap_delta(own) for st, own in zip(states, owns)

@@ -83,13 +83,6 @@ def _build_workload():
         proposals.append(prop_rank)
 
     states = [LocalModuleState(v) for v in views]
-    ghost_indexes = [
-        {
-            int(v.global_of[li]): li
-            for li in range(v.num_owned + v.num_hubs, v.num_local)
-        }
-        for v in views
-    ]
     sync_payloads, swap_payloads = [], []
     for per_rank in schedule:
         for st, (movers, targets) in zip(states, per_rank):
@@ -102,9 +95,7 @@ def _build_workload():
                 for src in range(NRANKS)
                 if src != dest and dest in sync[src]
             ]
-            states[dest].apply_membership_sync(
-                inbox, ghost_indexes[dest]
-            )
+            states[dest].apply_membership_sync(inbox)
         owns = [st.contribution() for st in states]
         swap_payloads.append(
             [st.prepare_swap(own) for st, own in zip(states, owns)]

@@ -26,6 +26,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== compiled sweep kernel =="
 python -c 'from repro.core import sweepkernel as k; print(f"library:  {k.LIBRARY_PATH}\ncompiler: {k.COMPILER}")'
 
+echo "== src/ size =="
+echo "lines:    $(find src -name '*.py' -o -name '*.c' | xargs cat | wc -l) (*.py + *.c)"
+
 echo "== tier 1: tests/ =="
 python -m pytest -x -q
 

@@ -37,8 +37,6 @@ from .sequential import SequentialInfomap, cluster_level, sequential_infomap
 from .swap import (
     Contribution,
     LocalModuleState,
-    ModuleInfo,
-    ModuleTable,
     TableArrays,
 )
 from .timing import (
@@ -65,9 +63,7 @@ __all__ = [
     "InfomapConfig",
     "LevelRecord",
     "LocalModuleState",
-    "ModuleInfo",
     "ModuleStats",
-    "ModuleTable",
     "TableArrays",
     "MoveProposal",
     "PHASES",

@@ -84,14 +84,6 @@ class InfomapConfig:
             subset only and the minimum local ΔL wins — which is cheap
             and adequate when every rank holds millions of hub edges;
             it is kept as the fidelity ablation.
-        min_vertices_per_rank: stage-2 levels whose coarse graph has
-            fewer than this many vertices per rank shrink onto a subset
-            of ranks (``p_eff = n // min_vertices_per_rank``), down to
-            one rank for tiny graphs.  Spreading a 100-vertex graph
-            over 16 ranks buys no parallelism and maximizes
-            synchronized-move noise; real MPI codes drop to a
-            sub-communicator in exactly this situation.  Set to 1 for
-            the paper-literal all-ranks behaviour.
         prune_inactive: after the first round of a level, re-evaluate
             only vertices whose neighbourhood or module changed (the
             prioritization idea of Bae et al.'s follow-up work, cited
@@ -149,11 +141,6 @@ class InfomapConfig:
             neighbourhood term a delta can change; raise it to widen
             the re-optimized region (more work, potentially better
             quality on aggressive deltas).
-        warm_reseed_singletons: when True (default) the dirty-frontier
-            vertices re-enter the warm solve as singletons, letting
-            them re-choose a module from scratch; False keeps their
-            cached module assignment and merely marks them active — a
-            cheaper but more conservative repair, kept as an ablation.
         ooc_chunk_entries: adjacency entries read per chunk when an
             out-of-core rank streams its shard from a CSR store
             (:func:`repro.partition.shard.load_shard`).  Bounds the
@@ -206,14 +193,12 @@ class InfomapConfig:
     delta_swap: bool = True
     delegate_consensus: str = "aggregate"
     prune_inactive: bool = True
-    min_vertices_per_rank: int = 32
     round_threshold_rel: float = 1e-4
     max_rounds: int = 60
     batch_size: int = 256
     overlap: bool = True
     backend: str = "threads"
     warm_dirty_hops: int = 1
-    warm_reseed_singletons: bool = True
     ooc_chunk_entries: int = 1 << 20
     tracer: Any = field(default=None, compare=False, repr=False)
     live: Any = field(default=None, compare=False, repr=False)
@@ -240,8 +225,6 @@ class InfomapConfig:
             raise ValueError("rebalance_interval must be >= 1")
         if self.rebalance_max_vertices < 1:
             raise ValueError("rebalance_max_vertices must be >= 1")
-        if self.min_vertices_per_rank < 1:
-            raise ValueError("min_vertices_per_rank must be >= 1")
         if self.round_threshold_rel < 0:
             raise ValueError("round_threshold_rel must be >= 0")
         if self.batch_size < 0:

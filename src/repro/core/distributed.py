@@ -74,6 +74,11 @@ log = get_logger("core.distributed")
 
 _NO_MODULES = np.empty(0, dtype=np.int64)
 
+# Stage-2 levels whose coarse graph has fewer vertices than this per
+# rank shrink onto ``n // _MIN_VERTICES_PER_RANK`` ranks, down to one
+# (DESIGN.md §3b, deviation 4).
+_MIN_VERTICES_PER_RANK = 32
+
 
 def _add_proposals(
     proposals: "dict[int, tuple[float, int]]",
@@ -173,11 +178,6 @@ def _build_level_caches(
     rebuild the lot with one call; the cross-round caches that survive
     a migration (delegate peer flows, hub dirty flags) live outside.
     """
-    ghost_base = lg.num_owned + lg.num_hubs
-    ghost_index = {
-        int(g): ghost_base + i
-        for i, g in enumerate(lg.global_of[lg.ghost_slice()])
-    }
     hub_index = {
         int(g): lg.num_owned + i
         for i, g in enumerate(lg.global_of[lg.hub_slice()])
@@ -205,7 +205,6 @@ def _build_level_caches(
         % np.int64(nranks)
     ).astype(np.int64)
     return SimpleNamespace(
-        ghost_index=ghost_index,
         hub_index=hub_index,
         rev_targets=rev_targets,
         rev_sources=rev_sources,
@@ -606,7 +605,7 @@ def _cluster_rounds(
         with timer.phase(PHASE_SWAP_BOUNDARY):
             recv = sync_req.wait()
             changed_ghosts = state.apply_membership_sync(
-                list(recv.values()), C.ghost_index
+                list(recv.values())
             )
 
         with timer.phase(PHASE_OTHER):
@@ -1009,9 +1008,9 @@ def _rank_body(
             live.update(level=level)
         with timer.phase(PHASE_OTHER):
             # Small coarse graphs concentrate onto fewer ranks (see
-            # InfomapConfig.min_vertices_per_rank); idle ranks still
-            # join every collective so the SPMD schedule stays aligned.
-            p_eff = max(1, min(p, cn // cfg.min_vertices_per_rank))
+            # _MIN_VERTICES_PER_RANK); idle ranks still join every
+            # collective so the SPMD schedule stays aligned.
+            p_eff = max(1, min(p, cn // _MIN_VERTICES_PER_RANK))
             owner = (np.arange(cn, dtype=np.int64) % p_eff).astype(np.int64)
             part = OneDPartition(owner=owner, nranks=p)
             views2 = local_views_1d(net, part)

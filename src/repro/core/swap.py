@@ -5,36 +5,17 @@ their next ΔL evaluations depend on.  The paper's protocol exchanges
 *whole community information* of boundary vertices through a
 ``Module_Info`` record — ``(modID, sumPr, exitPr, numMembers, isSent)``
 — where ``isSent`` dedups repeats so the same community's aggregate is
-never double-added at a receiver (the Figure 3 failure mode).
+never double-added at a receiver (the Figure 3 failure mode).  Here the
+records travel as one array per field.
 
-This module implements the per-rank state that protocol maintains:
-
-* :class:`ModuleInfo` — the wire record (List 1 verbatim).
-* :class:`LocalModuleState` — one rank's membership array plus its
-  best-known module table, with exact *local contribution* computation
-  (the rank's own additive share of every module's aggregates) and the
-  prepare/apply halves of Algorithm 3.
-
-The split matters for correctness accounting: a rank's *contribution*
-is exact local fact (its owned vertices' flow mass, its stored entries'
-cut flow); the *table* is the paper's neighbor-reconstructed estimate
-(own contribution + every received contribution), which is what moves
-are scored against.
-
-Representation
---------------
-
-The module table is a live :class:`ModuleTable` (sorted id column +
-parallel ``exit``/``sum_p``/``members`` arrays, with a small overflow
-buffer absorbing mid-round inserts until the next ``compact()``), and
-every protocol path — rebuild, swap-prepare, membership-sync — is
-columnar, built on ``np.unique`` + ``np.bincount`` segment reduction
-and the :meth:`LocalGraph.boundary_groups` group-by.
-``table_arrays()`` is a near-free view of the live columns.  (A legacy
-per-key dict implementation served as the equivalence oracle for one
-release and has been retired; the read-only ``table_sum_p`` /
-``table_exit`` / ``table_members`` mappings remain as views over the
-live table.)
+:class:`LocalModuleState` holds one rank's membership array and its
+module table, computes the rank's exact *local contribution* (its own
+additive share of every module's aggregates), and implements the
+prepare/apply halves of Algorithm 3.  The *table* is the paper's
+neighbour-reconstructed estimate (own contribution + every received
+contribution), which is what moves are scored against.  It is a
+:class:`TableArrays`: four sorted columns, replaced on every rebuild
+and updated in place by the compiled sweep (DESIGN.md §3d).
 
 Determinism contract (tested): within a round the accumulation *order*
 is pinned — own contribution first, then received batches in ascending
@@ -47,7 +28,6 @@ the last bit regardless of rank count or transport — the same fact
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +35,8 @@ import numpy as np
 from ..partition.distgraph import LocalGraph
 
 __all__ = [
-    "ModuleInfo",
     "Contribution",
     "LocalModuleState",
-    "ModuleTable",
     "TableArrays",
 ]
 
@@ -68,53 +46,27 @@ _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
 @dataclass(frozen=True)
 class TableArrays:
-    """Array-backed snapshot of a rank's module table.
+    """A rank's module table: sorted ids with parallel aggregates.
 
-    A *live view* of the :class:`ModuleTable` columns (near-free to
-    produce) that resolves thousands of ``(q_m, p_m)`` lookups with two
-    ``searchsorted`` calls instead of a Python loop.  Values are the
-    exact stored table floats (missing modules read as 0.0).
+    The compiled sweep writes ``exit``/``sum_p``/``members`` in place;
+    every other change replaces the whole set.
     """
 
-    mod_ids: np.ndarray  # int64[k], sorted
+    mod_ids: np.ndarray  # int64[k], strictly ascending
     exit: np.ndarray  # float64[k]
     sum_p: np.ndarray  # float64[k]
-    members: "np.ndarray | None" = None  # int64[k]
-
-    def lookup(
-        self, mod_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (q_m, p_m) with 0.0 for absent modules."""
-        if self.mod_ids.size == 0 or mod_ids.size == 0:
-            return np.zeros(mod_ids.size), np.zeros(mod_ids.size)
-        pos = np.searchsorted(self.mod_ids, mod_ids)
-        pos_c = np.minimum(pos, self.mod_ids.size - 1)
-        hit = self.mod_ids[pos_c] == mod_ids
-        return (
-            np.where(hit, self.exit[pos_c], 0.0),
-            np.where(hit, self.sum_p[pos_c], 0.0),
-        )
+    members: np.ndarray  # int64[k]
 
 
-@dataclass(frozen=True)
-class ModuleInfo:
-    """The List-1 message record for one module.
-
-    Attributes:
-        mod_id: module identifier (global namespace).
-        sum_pr: sender's visit-probability contribution to the module.
-        exit_pr: sender's exit-flow contribution.
-        num_members: sender's member-count contribution.
-        is_sent: True ⇒ this module's aggregate was already shipped to
-            this receiver earlier in the round; the receiver must keep
-            the association but must NOT add the numbers again.
-    """
-
-    mod_id: int
-    sum_pr: float
-    exit_pr: float
-    num_members: int
-    is_sent: bool
+def _merged(t: TableArrays, ids, exit_, sum_p, members) -> TableArrays:
+    """*t* with the modules *ids* (sorted, none in *t*) merged in."""
+    pos = np.searchsorted(t.mod_ids, ids)
+    return TableArrays(
+        np.insert(t.mod_ids, pos, ids),
+        np.insert(t.exit, pos, exit_),
+        np.insert(t.sum_p, pos, sum_p),
+        np.insert(t.members, pos, members),
+    )
 
 
 @dataclass
@@ -131,200 +83,8 @@ class Contribution:
     exit: np.ndarray  # float64[k]
     members: np.ndarray  # int64[k]
 
-    def index_of(self, mod_id: int) -> int:
-        """Position of *mod_id* or -1."""
-        pos = np.searchsorted(self.mod_ids, mod_id)
-        if pos < self.mod_ids.size and self.mod_ids[pos] == mod_id:
-            return int(pos)
-        return -1
-
     def total_exit(self) -> float:
         return float(self.exit.sum())
-
-
-class ModuleTable:
-    """Live array-backed module table: sorted base + overflow buffer.
-
-    The base columns (``ids`` sorted ascending, parallel ``exit`` /
-    ``sum_p`` / ``members``) hold the table as of the last
-    ``reset``/``compact``; modules created by moves between rebuilds
-    land in small Python-list overflow buffers so an insert is O(1).
-    ``compact()`` merges the overflow back into the sorted base (called
-    before every snapshot; rebuilds call ``reset`` directly).  A
-    ``{module id → slot}`` dict gives O(1) scalar lookups; slots
-    ``>= ids.size`` index the overflow.
-
-    In-place mutation of the base columns is deliberate: the compiled
-    sweep (:mod:`repro.core.sweepkernel`) compacts the table, updates
-    the base columns in place and hands back the modules it created,
-    which land in the overflow through :meth:`insert`.
-    """
-
-    __slots__ = (
-        "ids", "exit", "sum_p", "members", "_pos",
-        "_ov_ids", "_ov_exit", "_ov_sum_p", "_ov_members",
-    )
-
-    def __init__(self) -> None:
-        self.reset(_EMPTY_I64, _EMPTY_F64, _EMPTY_F64, _EMPTY_I64)
-
-    def __len__(self) -> int:
-        return self.ids.size + len(self._ov_ids)
-
-    def __contains__(self, mod_id: int) -> bool:
-        return mod_id in self._pos
-
-    def reset(
-        self,
-        ids: np.ndarray,
-        exit_: np.ndarray,
-        sum_p: np.ndarray,
-        members: np.ndarray,
-    ) -> None:
-        """Adopt freshly rebuilt sorted columns; drop the overflow."""
-        self.ids = ids
-        self.exit = exit_
-        self.sum_p = sum_p
-        self.members = members
-        self._pos = dict(zip(ids.tolist(), range(ids.size)))
-        self._ov_ids: list[int] = []
-        self._ov_exit: list[float] = []
-        self._ov_sum_p: list[float] = []
-        self._ov_members: list[int] = []
-
-    def compact(self) -> None:
-        """Merge the overflow buffer into the sorted base columns."""
-        if not self._ov_ids:
-            return
-        ids = np.concatenate(
-            [self.ids, np.asarray(self._ov_ids, dtype=np.int64)]
-        )
-        exit_ = np.concatenate([self.exit, np.asarray(self._ov_exit)])
-        sum_p = np.concatenate([self.sum_p, np.asarray(self._ov_sum_p)])
-        members = np.concatenate(
-            [self.members, np.asarray(self._ov_members, dtype=np.int64)]
-        )
-        srt = np.argsort(ids, kind="stable")
-        self.reset(ids[srt], exit_[srt], sum_p[srt], members[srt])
-
-    # -- scalar accessors (the dict-.get replacements) ---------------------
-    def get_q(self, mod_id: int, default: float = 0.0) -> float:
-        i = self._pos.get(mod_id)
-        if i is None:
-            return default
-        k = self.ids.size
-        return float(self.exit[i]) if i < k else self._ov_exit[i - k]
-
-    def get_p(self, mod_id: int, default: float = 0.0) -> float:
-        i = self._pos.get(mod_id)
-        if i is None:
-            return default
-        k = self.ids.size
-        return float(self.sum_p[i]) if i < k else self._ov_sum_p[i - k]
-
-    def get_n(self, mod_id: int, default: int = 0) -> int:
-        i = self._pos.get(mod_id)
-        if i is None:
-            return default
-        k = self.ids.size
-        return int(self.members[i]) if i < k else self._ov_members[i - k]
-
-    # -- mutation ----------------------------------------------------------
-    def _read(self, i: int) -> tuple[float, float, int]:
-        k = self.ids.size
-        if i < k:
-            return (
-                float(self.exit[i]), float(self.sum_p[i]),
-                int(self.members[i]),
-            )
-        j = i - k
-        return self._ov_exit[j], self._ov_sum_p[j], self._ov_members[j]
-
-    def _write(self, i: int, q: float, p: float, n: int) -> None:
-        k = self.ids.size
-        if i < k:
-            self.exit[i] = q
-            self.sum_p[i] = p
-            self.members[i] = n
-        else:
-            j = i - k
-            self._ov_exit[j] = q
-            self._ov_sum_p[j] = p
-            self._ov_members[j] = n
-
-    def insert(self, mod_id: int, q: float, p: float, n: int) -> None:
-        """O(1) insert of a new module into the overflow buffer."""
-        self._pos[mod_id] = self.ids.size + len(self._ov_ids)
-        self._ov_ids.append(mod_id)
-        self._ov_exit.append(q)
-        self._ov_sum_p.append(p)
-        self._ov_members.append(n)
-
-    def apply_move(
-        self,
-        old: int,
-        new: int,
-        *,
-        p_u: float,
-        x_u: float,
-        d_old: float,
-        d_new: float,
-    ) -> float:
-        """Commit one vertex move; returns the Σ-exit change.
-
-        Raises :class:`KeyError` when *old* is unknown — a vertex can
-        only ever leave a module the table accounts for (its own mass
-        put it there at the last rebuild, and entries are never dropped
-        mid-round).
-        """
-        io = self._pos.get(old)
-        if io is None:
-            raise KeyError(
-                f"apply_move out of unknown module {old}: the mover's "
-                f"own mass should have placed it in the table"
-            )
-        q_old, p_old, n_old = self._read(io)
-        i_new = self._pos.get(new)
-        if i_new is None:
-            q_new, p_new, n_new = 0.0, 0.0, 0
-        else:
-            q_new, p_new, n_new = self._read(i_new)
-        q_old_after = q_old - x_u + 2.0 * d_old
-        q_new_after = q_new + x_u - 2.0 * d_new
-        self._write(io, q_old_after, p_old - p_u, n_old - 1)
-        if i_new is None:
-            self.insert(new, q_new_after, p_new + p_u, n_new + 1)
-        else:
-            self._write(i_new, q_new_after, p_new + p_u, n_new + 1)
-        return (q_old_after - q_old) + (q_new_after - q_new)
-
-
-class _TableColumnView(Mapping):
-    """Read-only ``{module id → value}`` view of one table column.
-
-    Keeps the historical dict-style read API (``st.table_sum_p[m]``,
-    ``dict(st.table_exit)``, ``m in st.table_members``) alive over the
-    live :class:`ModuleTable` without materializing anything.  Covers
-    overflow entries too, so a module inserted by a mid-round move is
-    immediately visible.
-    """
-
-    __slots__ = ("_table", "_get")
-
-    def __init__(self, table: ModuleTable, getter) -> None:
-        self._table = table
-        self._get = getter
-
-    def __getitem__(self, mod_id: int):
-        if mod_id not in self._table:
-            raise KeyError(mod_id)
-        return self._get(mod_id)
-
-    def __iter__(self):
-        return iter(self._table._pos)
-
-    def __len__(self) -> int:
-        return len(self._table)
 
 
 class LocalModuleState:
@@ -366,35 +126,16 @@ class LocalModuleState:
             np.arange(lg.num_sources, dtype=np.int64), np.diff(lg.indptr)
         )
         # The table: global-estimate aggregates per module id.
-        self._table = ModuleTable()
-        ghost_gids = lg.global_of[lg.ghost_slice()]
-        self._ghosts_sorted = bool(
-            ghost_gids.size == 0
-            or np.all(ghost_gids[:-1] <= ghost_gids[1:])
+        self._table = TableArrays(
+            _EMPTY_I64, _EMPTY_F64, _EMPTY_F64, _EMPTY_I64
         )
+        # Membership sync resolves ghosts by binary search.
+        ghost_gids = lg.global_of[lg.ghost_slice()]
+        if (ghost_gids[1:] <= ghost_gids[:-1]).any():
+            raise ValueError(
+                "ghost segment of global_of must be strictly ascending"
+            )
         self.sum_exit_global: float = 0.0
-
-    # -- dict-style read views over the live table ------------------------
-    @property
-    def table_exit(self) -> _TableColumnView:
-        return _TableColumnView(self._table, self._table.get_q)
-
-    @property
-    def table_sum_p(self) -> _TableColumnView:
-        return _TableColumnView(self._table, self._table.get_p)
-
-    @property
-    def table_members(self) -> _TableColumnView:
-        return _TableColumnView(self._table, self._table.get_n)
-
-    def table_getters(self):
-        """``(get_q, get_p, get_n)`` scalar accessors.
-
-        Each is called as ``get(mod_id, default)`` — the
-        :class:`ModuleTable` accessors, bound.
-        """
-        t = self._table
-        return t.get_q, t.get_p, t.get_n
 
     # -- exact local facts --------------------------------------------------
     def contribution(self) -> Contribution:
@@ -438,7 +179,7 @@ class LocalModuleState:
     def rebuild_table(
         self,
         own: Contribution,
-        received: "list[object]",
+        received: "list[tuple[np.ndarray, ...]]",
         *,
         ghost_singletons: bool = True,
     ) -> None:
@@ -446,32 +187,16 @@ class LocalModuleState:
 
         Args:
             own: this rank's exact contribution.
-            received: one batch per sending neighbour — either a list
-                of :class:`ModuleInfo` records, or the array wire form
-                ``(mod_ids, sum_pr, exit_pr, num_members, is_sent)``
-                (what :meth:`prepare_swap` ships; same fields, one
-                array per column).
+            received: one batch per sending neighbour, in the column
+                form :meth:`prepare_swap` ships:
+                ``(mod_ids, sum_pr, exit_pr, num_members, is_sent)``.
             ghost_singletons: seed table entries for ghost/hub vertices
                 still in singleton modules from static preprocessing
                 data (flow / exit0), so round 0 can score moves before
                 any info has been swapped.
         """
         batches = []
-        for batch in received:
-            if isinstance(batch, tuple):
-                ids, sp, ex, nm, snt = batch
-            else:
-                ids = np.asarray(
-                    [i.mod_id for i in batch], dtype=np.int64
-                )
-                sp = np.asarray([i.sum_pr for i in batch])
-                ex = np.asarray([i.exit_pr for i in batch])
-                nm = np.asarray(
-                    [i.num_members for i in batch], dtype=np.int64
-                )
-                snt = np.asarray(
-                    [i.is_sent for i in batch], dtype=bool
-                )
+        for ids, sp, ex, nm, snt in received:
             # is_sent rows keep the id in the union (the receiver
             # keeps the association) but add zero mass (line 29).
             live = ~np.asarray(snt, dtype=bool)
@@ -494,9 +219,9 @@ class LocalModuleState:
     ) -> None:
         """One concatenate + segment-reduce over all column batches.
 
-        Entry order (own first, then *batches* in list order) matches
-        the dict path's add sequence, so every accumulated float is
-        bitwise equal to the oracle's.
+        Entry order (own first, then *batches* in list order) fixes
+        the add sequence, so every accumulated float is reproducible
+        bitwise.
         """
         ids_parts = [own.mod_ids]
         sp_parts = [own.sum_p]
@@ -523,6 +248,7 @@ class LocalModuleState:
             sum_p = _EMPTY_F64.copy()
             exit_ = _EMPTY_F64.copy()
             members = _EMPTY_I64.copy()
+        table = TableArrays(uniq, exit_, sum_p, members)
         if ghost_singletons:
             lg = self.lg
             idx = np.arange(lg.num_owned, lg.num_local)
@@ -532,37 +258,20 @@ class LocalModuleState:
                 cand = mods[sel]
                 cand_idx = idx[sel]
                 # Keep the first occurrence per module id (ascending
-                # local index, like the dict loop), then seed only the
-                # ones the table does not already know.
+                # local index), then seed only the ones the table does
+                # not already know.
                 cu, first = np.unique(cand, return_index=True)
                 miss = ~np.isin(cu, uniq)
                 if miss.any():
-                    add_ids = cu[miss]
                     src = cand_idx[first[miss]]
-                    uniq = np.concatenate([uniq, add_ids])
-                    sum_p = np.concatenate([sum_p, lg.flow[src]])
-                    exit_ = np.concatenate([exit_, lg.exit0[src]])
-                    members = np.concatenate(
-                        [members, np.ones(add_ids.size, dtype=np.int64)]
+                    table = _merged(
+                        table, cu[miss], lg.exit0[src], lg.flow[src], 1
                     )
-                    srt = np.argsort(uniq, kind="stable")
-                    uniq = uniq[srt]
-                    sum_p = sum_p[srt]
-                    exit_ = exit_[srt]
-                    members = members[srt]
-        self._table.reset(uniq, exit_, sum_p, members)
+        self._table = table
 
     def table_arrays(self) -> TableArrays:
-        """Sorted-column view of the table (see :class:`TableArrays`).
-
-        Compacts the overflow and returns the live columns (no copy).
-        """
-        self._table.compact()
-        t = self._table
-        return TableArrays(
-            mod_ids=t.ids, exit=t.exit, sum_p=t.sum_p,
-            members=t.members,
-        )
+        """The live table (no copy; see :class:`TableArrays`)."""
+        return self._table
 
     def insert_modules(
         self,
@@ -571,45 +280,23 @@ class LocalModuleState:
         sum_p: np.ndarray,
         members: np.ndarray,
     ) -> None:
-        """Add modules the table does not know yet, in the given order."""
-        for m, q, p, n in zip(
-            ids.tolist(), exit_.tolist(), sum_p.tolist(), members.tolist()
-        ):
-            self._table.insert(m, q, p, n)
+        """Merge modules the table does not know yet into its columns.
 
-    def table_lookup(
-        self, mod_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (q_m, p_m) lookups for candidate modules."""
-        return self.table_arrays().lookup(mod_ids)
-
-    def apply_local_move(
-        self,
-        local_idx: int,
-        new_module: int,
-        *,
-        p_u: float,
-        x_u: float,
-        d_old: float,
-        d_new: float,
-    ) -> None:
-        """Commit a move in the local view and update table estimates.
-
-        The table update uses the same primed-quantity algebra as the
-        sequential :meth:`ModuleStats.apply_move`; exactness is restored
-        at the next swap/rebuild, as in the paper.  Raises
-        :class:`KeyError` when the vertex's current module is missing
-        from the table — that can only mean corrupted bookkeeping (the
-        mover's own mass places its module in the table at every
-        rebuild and entries are never dropped mid-round), so it must
-        not be papered over with a default.
+        Raises :class:`ValueError` when an id is already in the table
+        or repeats within *ids*: either would count a module twice.
         """
-        old = int(self.module_of[local_idx])
-        if old == new_module:
+        if ids.size == 0:
             return
-        self.module_of[local_idx] = new_module
-        self.sum_exit_global += self._table.apply_move(
-            old, new_module, p_u=p_u, x_u=x_u, d_old=d_old, d_new=d_new
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        known = self._table.mod_ids
+        pos = np.minimum(np.searchsorted(known, ids), known.size - 1)
+        if (ids[1:] == ids[:-1]).any() or (
+            known.size and (known[pos] == ids).any()
+        ):
+            raise ValueError("insert_modules: module id already present")
+        self._table = _merged(
+            self._table, ids, exit_[order], sum_p[order], members[order]
         )
 
     # -- Algorithm 3: prepare outgoing batches -----------------------------------
@@ -637,9 +324,7 @@ class LocalModuleState:
         self,
         own: Contribution,
         moved_hub_modules: "set[int] | None" = None,
-        *,
-        as_arrays: bool = True,
-    ) -> "dict[int, object]":
+    ) -> "dict[int, tuple[np.ndarray, ...]]":
         """Lines 1-19: build one ``Module_Info`` batch per neighbour rank.
 
         For every boundary vertex ghosted on rank ``R``, the *whole*
@@ -654,29 +339,9 @@ class LocalModuleState:
         ``boundary_local``/``boundary_ranks``; the emission order is
         sorted moved hub modules first, then boundary vertices in
         boundary order — deterministic, so the wire bytes are too.
-
-        Args:
-            as_arrays: ship each batch as the column-array wire form
-                ``(mod_ids, sum_pr, exit_pr, num_members, is_sent)``
-                (default; the List-1 struct-of-arrays).  ``False``
-                returns ``list[ModuleInfo]`` records (tests, docs).
+        Each batch is the List-1 record as columns:
+        ``(mod_ids, sum_pr, exit_pr, num_members, is_sent)``.
         """
-        out = self._prepare_swap_array(own, moved_hub_modules)
-        if as_arrays:
-            return out
-        return {
-            dest: [
-                ModuleInfo(int(m), float(sp), float(ex), int(nm), bool(snt))
-                for m, sp, ex, nm, snt in zip(*cols)
-            ]
-            for dest, cols in out.items()
-        }
-
-    def _prepare_swap_array(
-        self,
-        own: Contribution,
-        moved_hub_modules: "set[int] | None",
-    ) -> "dict[int, object]":
         lg = self.lg
         groups = lg.boundary_groups()
         hub_arr = (
@@ -684,7 +349,7 @@ class LocalModuleState:
             if moved_hub_modules else _EMPTY_I64
         )
         bl_mods = self.module_of[lg.boundary_local]
-        out: dict[int, object] = {}
+        out: dict[int, tuple[np.ndarray, ...]] = {}
         for dest in lg.neighbor_ranks.tolist():
             pos = groups.get(dest)
             dmods = bl_mods[pos] if pos is not None else _EMPTY_I64
@@ -752,19 +417,6 @@ class LocalModuleState:
                 rank's contributions even though no boundary vertex
                 couples to them anymore.
         """
-        return self._prepare_swap_delta_array(
-            own, moved_hub_modules, refresh_sent=refresh_sent,
-            dests=dests,
-        )
-
-    def _prepare_swap_delta_array(
-        self,
-        own: Contribution,
-        moved_hub_modules: "set[int] | None",
-        *,
-        refresh_sent: bool = False,
-        dests: "list[int] | None" = None,
-    ) -> "dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]":
         lg = self.lg
         last = self._last_cols
         if last is None:
@@ -903,9 +555,7 @@ class LocalModuleState:
         }
 
     def apply_membership_sync(
-        self,
-        received: "list[tuple[np.ndarray, np.ndarray]]",
-        ghost_index: dict[int, int],
+        self, received: "list[tuple[np.ndarray, np.ndarray]]"
     ) -> list[int]:
         """Install received ghost module ids (receiver half of the sync).
 
@@ -913,31 +563,22 @@ class LocalModuleState:
         changed — the active-set pruning needs exactly that signal.
         """
         lg = self.lg
-        if self._ghosts_sorted:
-            ghost_base = lg.num_owned + lg.num_hubs
-            ghost_gids = lg.global_of[lg.ghost_slice()]
-            changed: list[int] = []
-            for gids, mods in received:
-                if gids.size == 0 or ghost_gids.size == 0:
-                    continue
-                pos = np.searchsorted(ghost_gids, gids)
-                pos_c = np.minimum(pos, ghost_gids.size - 1)
-                hit = ghost_gids[pos_c] == gids
-                li = ghost_base + pos_c[hit]
-                new_mods = mods[hit]
-                diff = self.module_of[li] != new_mods
-                if diff.any():
-                    tgt = li[diff]
-                    self.module_of[tgt] = new_mods[diff]
-                    changed.extend(tgt.tolist())
-            return changed
-        changed = []
+        ghost_base = lg.num_owned + lg.num_hubs
+        ghost_gids = lg.global_of[lg.ghost_slice()]
+        changed: list[int] = []
         for gids, mods in received:
-            for gid, mod in zip(gids.tolist(), mods.tolist()):
-                li = ghost_index.get(gid)
-                if li is not None and int(self.module_of[li]) != mod:
-                    self.module_of[li] = mod
-                    changed.append(li)
+            if gids.size == 0 or ghost_gids.size == 0:
+                continue
+            pos = np.searchsorted(ghost_gids, gids)
+            pos_c = np.minimum(pos, ghost_gids.size - 1)
+            hit = ghost_gids[pos_c] == gids
+            li = ghost_base + pos_c[hit]
+            new_mods = mods[hit]
+            diff = self.module_of[li] != new_mods
+            if diff.any():
+                tgt = li[diff]
+                self.module_of[tgt] = new_mods[diff]
+                changed.extend(tgt.tolist())
         return changed
 
     # -- boundary-module tracking (min-label rule) ------------------------------------

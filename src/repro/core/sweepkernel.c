@@ -296,8 +296,8 @@ static int score(const map_t *m, const rule_t *r, double sum_exit,
     return 1;
 }
 
-/* Move one vertex from `old` to `new_mod` in the table (the
- * ModuleTable.apply_move algebra) and fold the exit-sum change. */
+/* Move one vertex from `old` to `new_mod` in the table (the primed
+ * quantities of the delta above) and fold the exit-sum change. */
 static int apply_move(map_t *m, int64_t old, int64_t new_mod,
                       const decision_t *dec, double p_u, double x_u,
                       double *sum_exit)

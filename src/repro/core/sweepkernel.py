@@ -247,7 +247,7 @@ class SweepKernel:
 
     @staticmethod
     def _table(state, ov_cap: int) -> "tuple[_Table, tuple]":
-        """The state's compacted live table plus *ov_cap* insert slots.
+        """The state's live table plus *ov_cap* slots for new modules.
 
         The returned arrays must stay referenced for the whole call.
         """
@@ -297,7 +297,8 @@ class SweepKernel:
         )
         if commit:
             # Also on error: keep the state consistent with the moves
-            # committed before the failing one.
+            # committed before the failing one.  The modules the call
+            # entered are merged into the sorted columns once.
             state.sum_exit_global = sum_exit.value
             state.insert_modules(*(a[: tab.n_ov] for a in keep[1]))
         _check(rc)

@@ -3,9 +3,11 @@
 ``_score_candidates``, ``_plogp_s``, ``_local_module_flows`` and
 ``_evaluate_move`` are the one-vertex-at-a-time Python evaluator the
 distributed solver used before its sweep moved into
-``repro/core/sweepkernel.c``, kept verbatim.  :class:`ReferenceSweep`
-wraps them in the :class:`repro.core.sweepkernel.SweepKernel` interface,
-so a test can compare the kernel against it call by call, or run a whole
+``repro/core/sweepkernel.c``, kept verbatim apart from reading the
+module table through :class:`_DictTable`, the reference's own
+``{module id → [q, p, n]}`` copy of it.  :class:`ReferenceSweep` wraps
+them in the :class:`repro.core.sweepkernel.SweepKernel` interface, so a
+test can compare the kernel against it call by call, or run a whole
 solve on it by patching ``repro.core.distributed.SweepKernel``.
 """
 
@@ -19,6 +21,88 @@ import numpy as np
 from repro.core.config import InfomapConfig
 from repro.core.kernels import aggregate_module_flows
 from repro.core.swap import LocalModuleState
+
+
+class _DictTable:
+    """The reference's own module table, one dict entry per module.
+
+    Built from ``state.table_arrays()`` at the start of a call; a
+    committing call writes it back at the end (known modules in place,
+    new ones through ``state.insert_modules`` in entry order).
+    """
+
+    def __init__(self, state: LocalModuleState) -> None:
+        t = state.table_arrays()
+        self._known = t.mod_ids.size
+        self._rows = {
+            m: [q, p, n]
+            for m, q, p, n in zip(
+                t.mod_ids.tolist(), t.exit.tolist(), t.sum_p.tolist(),
+                t.members.tolist(),
+            )
+        }
+
+    def get_q(self, mod_id: int, default: float = 0.0) -> float:
+        row = self._rows.get(mod_id)
+        return default if row is None else row[0]
+
+    def get_p(self, mod_id: int, default: float = 0.0) -> float:
+        row = self._rows.get(mod_id)
+        return default if row is None else row[1]
+
+    def get_n(self, mod_id: int, default: int = 0) -> int:
+        row = self._rows.get(mod_id)
+        return default if row is None else row[2]
+
+    def apply_move(
+        self,
+        old: int,
+        new: int,
+        *,
+        p_u: float,
+        x_u: float,
+        d_old: float,
+        d_new: float,
+    ) -> float:
+        """Commit one vertex move; returns the Σ-exit change.
+
+        Raises :class:`KeyError` when *old* is unknown.
+        """
+        if old not in self._rows:
+            raise KeyError(
+                f"apply_move out of unknown module {old}: the mover's "
+                f"own mass should have placed it in the table"
+            )
+        q_old, p_old, n_old = self._rows[old]
+        q_new, p_new, n_new = self._rows.get(new, (0.0, 0.0, 0))
+        q_old_after = q_old - x_u + 2.0 * d_old
+        q_new_after = q_new + x_u - 2.0 * d_new
+        self._rows[old] = [q_old_after, p_old - p_u, n_old - 1]
+        self._rows[new] = [q_new_after, p_new + p_u, n_new + 1]
+        return (q_old_after - q_old) + (q_new_after - q_new)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """``(mod_ids, exit, sum_p, members)`` sorted by module id."""
+        rows = sorted(self._rows.items())
+        return (
+            np.array([m for m, _r in rows], dtype=np.int64),
+            np.array([r[0] for _m, r in rows], dtype=np.float64),
+            np.array([r[1] for _m, r in rows], dtype=np.float64),
+            np.array([r[2] for _m, r in rows], dtype=np.int64),
+        )
+
+    def write_back(self, state: LocalModuleState) -> None:
+        t = state.table_arrays()
+        rows = list(self._rows.items())
+        for col, j in ((t.exit, 0), (t.sum_p, 1), (t.members, 2)):
+            col[:] = [r[j] for _m, r in rows[: self._known]]
+        new = rows[self._known:]
+        state.insert_modules(
+            np.array([m for m, _r in new], dtype=np.int64),
+            np.array([r[0] for _m, r in new], dtype=np.float64),
+            np.array([r[1] for _m, r in new], dtype=np.float64),
+            np.array([r[2] for _m, r in new], dtype=np.int64),
+        )
 
 
 @dataclass(frozen=True)
@@ -35,6 +119,7 @@ class _Decision:
 
 def _score_candidates(
     state: LocalModuleState,
+    table: _DictTable,
     cfg: InfomapConfig,
     boundary_mods: "set[int]",
     *,
@@ -52,7 +137,7 @@ def _score_candidates(
     here so both the low-degree sweep and the delegate-consensus path
     behave identically.
     """
-    get_q, get_p, get_n = state.table_getters()
+    get_q, get_p, get_n = table.get_q, table.get_p, table.get_n
     pos = np.searchsorted(uniq, current)
     d_old = float(agg[pos]) if pos < uniq.size and uniq[pos] == current else 0.0
 
@@ -186,6 +271,7 @@ def _local_module_flows(
 
 def _evaluate_move(
     state: LocalModuleState,
+    table: _DictTable,
     li: int,
     cfg: InfomapConfig,
     boundary_mods: "set[int]",
@@ -200,7 +286,7 @@ def _evaluate_move(
     if uniq.size == 0:
         return None
     return _score_candidates(
-        state, cfg, boundary_mods,
+        state, table, cfg, boundary_mods,
         li=li, current=int(state.module_of[li]),
         uniq=uniq, agg=agg,
         p_u=float(state.lg.flow[li]), x_u=x_u,
@@ -212,14 +298,21 @@ def _evaluate_move(
 
 
 class ReferenceSweep:
-    """The scalar loop behind the :class:`SweepKernel` interface."""
+    """The scalar loop behind the :class:`SweepKernel` interface.
+
+    ``table`` is the :class:`_DictTable` of the last call, kept so a
+    test can compare a table against it without going through
+    ``LocalModuleState``.
+    """
 
     def __init__(self, lg, cfg: InfomapConfig) -> None:
         self._lg = lg
         self._cfg = cfg
+        self.table: "_DictTable | None" = None
 
     def sweep(self, state, bmods, rows, *, commit):
         bset = set(np.asarray(bmods).tolist())
+        table = self.table = _DictTable(state)
         n = len(rows)
         targets = np.full(n, -1, dtype=np.int64)
         deltas = np.zeros(n)
@@ -227,28 +320,32 @@ class ReferenceSweep:
         for i, li in enumerate(rows):
             li = int(li)
             work += int(self._lg.indptr[li + 1] - self._lg.indptr[li])
-            dec = _evaluate_move(state, li, self._cfg, bset)
+            dec = _evaluate_move(state, table, li, self._cfg, bset)
             if dec is None:
                 continue
             targets[i] = dec.target
             deltas[i] = dec.delta
             if commit:
-                state.apply_local_move(
-                    dec.local_idx, dec.target,
+                state.module_of[dec.local_idx] = dec.target
+                state.sum_exit_global += table.apply_move(
+                    dec.current, dec.target,
                     p_u=dec.p_u, x_u=dec.x_u,
                     d_old=dec.d_old, d_new=dec.d_new,
                 )
+        if commit:
+            table.write_back(state)
         return targets, deltas, work
 
     def score_flows(self, state, bmods, seg_ptr, mods, flows, current, p_u, x_u):
         bset = set(np.asarray(bmods).tolist())
+        table = _DictTable(state)
         n = len(current)
         targets = np.full(n, -1, dtype=np.int64)
         deltas = np.zeros(n)
         for i in range(n):
             a, b = int(seg_ptr[i]), int(seg_ptr[i + 1])
             dec = _score_candidates(
-                state, self._cfg, bset,
+                state, table, self._cfg, bset,
                 li=i, current=int(current[i]),
                 uniq=mods[a:b], agg=flows[a:b],
                 p_u=float(p_u[i]), x_u=float(x_u[i]),

@@ -31,7 +31,6 @@ from repro.core import (
     sequential_infomap,
 )
 import repro.core.distributed as distributed_mod
-from repro.core.swap import TableArrays
 from repro.graph import (
     barabasi_albert,
     from_edges,
@@ -153,28 +152,6 @@ class TestDriftGuardBound:
                 - (plogp(s0 + c) - plogp(s0))
             )
             assert shift <= bound + 1e-15
-
-
-class TestTableArrays:
-    def test_lookup_hits_and_misses(self):
-        t = TableArrays(
-            mod_ids=np.array([2, 5, 9], dtype=np.int64),
-            exit=np.array([0.1, 0.2, 0.3]),
-            sum_p=np.array([0.4, 0.5, 0.6]),
-        )
-        q, p = t.lookup(np.array([9, 0, 5, 11, 2], dtype=np.int64))
-        np.testing.assert_array_equal(q, [0.3, 0.0, 0.2, 0.0, 0.1])
-        np.testing.assert_array_equal(p, [0.6, 0.0, 0.5, 0.0, 0.4])
-
-    def test_empty_table(self):
-        t = TableArrays(
-            mod_ids=np.empty(0, dtype=np.int64),
-            exit=np.empty(0),
-            sum_p=np.empty(0),
-        )
-        q, p = t.lookup(np.array([3, 7], dtype=np.int64))
-        np.testing.assert_array_equal(q, [0.0, 0.0])
-        np.testing.assert_array_equal(p, [0.0, 0.0])
 
 
 class TestSortedRowsFastPath:

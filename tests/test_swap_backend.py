@@ -1,6 +1,6 @@
 """Module-table and swap-wire contracts after the dict-backend retirement.
 
-The array-backed :class:`ModuleTable` is the only representation; the
+The sorted-column :class:`TableArrays` is the only representation; the
 contracts the old array-vs-dict suite proved now hold between *copy
 modes* of the runtime instead: the typed frame codec (the default
 transport) and the pickle oracle must be indistinguishable from
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import repro.core.distributed as distributed_mod
 from repro.core import FlowNetwork, InfomapConfig, distributed_infomap
 from repro.core.swap import LocalModuleState
+from repro.core.sweepkernel import SweepKernel
 from repro.graph import (
     barabasi_albert,
     powerlaw_planted_partition,
@@ -28,6 +29,7 @@ from repro.graph import (
 from repro.partition import delegate_partition, local_views_delegate
 from repro.simmpi import decode_frame, encode_frame, payload_nbytes, run_spmd
 
+from .swap_helpers import table_row
 from .sweep_reference import ReferenceSweep
 
 
@@ -128,13 +130,6 @@ class TestProtocolDeterminism:
         rng = np.random.default_rng(seed)
         views, one, two = _paired_states(seed % 7)
         nranks = len(views)
-        ghost_indexes = [
-            {
-                int(v.global_of[li]): li
-                for li in range(v.num_owned + v.num_hubs, v.num_local)
-            }
-            for v in views
-        ]
         for _round in range(3):
             # Identical random churn on both state sets' memberships.
             for r, v in enumerate(views):
@@ -234,12 +229,8 @@ class TestProtocolDeterminism:
                     decode_frame(encode_frame(sync_2[src][dest]))
                     for src in range(nranks) if dest in sync_2[src]
                 ]
-                ch_1 = one[dest].apply_membership_sync(
-                    in_1, ghost_indexes[dest]
-                )
-                ch_2 = two[dest].apply_membership_sync(
-                    in_2, ghost_indexes[dest]
-                )
+                ch_1 = one[dest].apply_membership_sync(in_1)
+                ch_2 = two[dest].apply_membership_sync(in_2)
                 assert ch_1 == ch_2
                 np.testing.assert_array_equal(
                     one[dest].module_of, two[dest].module_of
@@ -344,6 +335,15 @@ class TestSwapMeterInvariant:
         assert logical["frames"] == logical["pickle"]
 
 
+def _commit_vertex_0(state):
+    """Commit vertex 0's max-flow move (it always has one here)."""
+    kernel = SweepKernel(state.lg, InfomapConfig(move_rule="max_flow"))
+    (target,), _deltas, _work = kernel.sweep(
+        state, np.empty(0, np.int64), np.array([0]), commit=True
+    )
+    return int(target)
+
+
 class TestApplyMoveBookkeeping:
     """Moving out of a module the table does not know is an error."""
 
@@ -354,20 +354,16 @@ class TestApplyMoveBookkeeping:
         # Corrupt one vertex's membership to a module id nobody has.
         state.module_of[0] = 10**9
         with pytest.raises(KeyError):
-            state.apply_local_move(
-                0, 1, p_u=0.01, x_u=0.01, d_old=0.0, d_new=0.005
-            )
+            _commit_vertex_0(state)
 
     def test_known_module_moves_keep_member_counts(self):
         views, one, _two = _paired_states(0)
         state = one[0]
         state.rebuild_table(state.contribution(), [])
+        before = state.table_arrays()
+        counts = dict(zip(before.mod_ids.tolist(), before.members.tolist()))
         old = int(state.module_of[0])
-        new = int(state.module_of[1])
-        get_q, get_p, get_n = state.table_getters()
-        n_old, n_new = get_n(old, 0), get_n(new, 0)
-        state.apply_local_move(
-            0, new, p_u=0.01, x_u=0.01, d_old=0.0, d_new=0.005
-        )
-        assert get_n(old, 0) == n_old - 1
-        assert get_n(new, 0) == n_new + 1
+        new = _commit_vertex_0(state)
+        assert new >= 0 and new != old
+        assert table_row(state, old)[2] == counts[old] - 1
+        assert table_row(state, new)[2] == counts.get(new, 0) + 1

@@ -8,6 +8,8 @@ from repro.core.swap import LocalModuleState
 from repro.graph import ring_of_cliques
 from repro.partition import delegate_partition, local_views_delegate
 
+from .swap_helpers import table_row
+
 
 @pytest.fixture
 def states():
@@ -73,8 +75,9 @@ class TestApplyAndRebuild:
         st.apply_swap_delta({1: batch})
         st.apply_swap_delta({1: batch})  # repeat must not double
         st.rebuild_table_from_caches(st.contribution())
-        assert st.table_sum_p[111] == pytest.approx(0.3)
-        assert st.table_members[111] == 2
+        _q, p, n = table_row(st, 111)
+        assert p == pytest.approx(0.3)
+        assert n == 2
 
     def test_contributions_from_two_peers_add(self, states):
         _views, sts = states
@@ -87,9 +90,8 @@ class TestApplyAndRebuild:
         # Module 5 is also a local singleton (vertex 5's own module), so
         # the table holds own + both peers' shares.
         own = st.contribution()
-        pos = own.index_of(5)
-        base = float(own.sum_p[pos]) if pos >= 0 else 0.0
-        assert st.table_sum_p[5] == pytest.approx(base + 0.5)
+        base = float(own.sum_p[own.mod_ids == 5].sum())
+        assert table_row(st, 5)[1] == pytest.approx(base + 0.5)
 
     def test_update_replaces_stale_value(self, states):
         _views, sts = states
@@ -100,8 +102,9 @@ class TestApplyAndRebuild:
         st.apply_swap_delta({1: (ids, np.array([0.1]), np.array([0.05]),
                                  np.array([1], dtype=np.int64))})
         st.rebuild_table_from_caches(st.contribution())
-        assert st.table_sum_p[777] == pytest.approx(0.1)
-        assert st.table_members[777] == 1
+        _q, p, n = table_row(st, 777)
+        assert p == pytest.approx(0.1)
+        assert n == 1
 
 
 class TestMembershipSyncDelta:

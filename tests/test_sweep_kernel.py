@@ -75,22 +75,29 @@ def _bits(a):
 def _assert_states_equal(a, b):
     np.testing.assert_array_equal(a.module_of, b.module_of)
     ta, tb = a.table_arrays(), b.table_arrays()
-    np.testing.assert_array_equal(ta.mod_ids, tb.mod_ids)
-    assert _bits(ta.exit) == _bits(tb.exit)
-    assert _bits(ta.sum_p) == _bits(tb.sum_p)
-    np.testing.assert_array_equal(ta.members, tb.members)
+    assert (np.diff(ta.mod_ids) > 0).all()
+    for col in ("mod_ids", "exit", "sum_p", "members"):
+        assert _bits(getattr(ta, col)) == _bits(getattr(tb, col)), col
     assert _bits([a.sum_exit_global]) == _bits([b.sum_exit_global])
 
 
 def _sweep_both(lg, state, cfg, bmods, rows, *, commit):
     """Run kernel and reference on copies; assert identical outcomes."""
     ka, kb = copy.deepcopy(state), copy.deepcopy(state)
+    ref = ReferenceSweep(lg, cfg)
     ta, da, wa = SweepKernel(lg, cfg).sweep(ka, bmods, rows, commit=commit)
-    tb, db, wb = ReferenceSweep(lg, cfg).sweep(kb, bmods, rows, commit=commit)
+    tb, db, wb = ref.sweep(kb, bmods, rows, commit=commit)
     np.testing.assert_array_equal(ta, tb)
     assert _bits(da) == _bits(db)
     assert wa == wb
     _assert_states_equal(ka, kb)
+    # Also against the reference's own dict, independent of the merge
+    # in insert_modules that both states went through.
+    t = ka.table_arrays()
+    for col, want in zip(
+        (t.mod_ids, t.exit, t.sum_p, t.members), ref.table.columns()
+    ):
+        assert _bits(col) == _bits(want)
     if not commit:
         _assert_states_equal(ka, state)
     return ka, ta
@@ -143,7 +150,7 @@ class TestSweepEquivalence:
         ):
             bmods = _bmods(state, rng, bmode)
             # Two sweeps in a row: the second reads the modules the
-            # first one created (table overflow) and its exit sum.
+            # first one merged into the table and its exit sum.
             for _ in range(2):
                 rows = rng.permutation(lg.num_owned)
                 state, _ = _sweep_both(
@@ -219,6 +226,23 @@ class TestSweepCoverage:
         entered = set(targets[targets >= 0].tolist()) & absent
         assert entered
         assert entered <= set(after.table_arrays().mod_ids.tolist())
+
+    def test_insert_rejects_known_or_repeated_ids(self):
+        rng = np.random.default_rng(5)
+        g = _graph(rng, 30, 0.2, hub=False, self_loops=False)
+        _lg, state = _states(g, 1, None, rng, ghost_singletons=False)[0]
+        before = copy.deepcopy(state.table_arrays())
+        fresh = before.mod_ids.max() + 1
+        for ids in ([before.mod_ids[0]], [fresh, fresh]):
+            ids = np.array(ids, np.int64)
+            with pytest.raises(ValueError, match="already present"):
+                state.insert_modules(
+                    ids, np.zeros(ids.size), np.zeros(ids.size),
+                    np.ones(ids.size, np.int64),
+                )
+        after = state.table_arrays()
+        for col in ("mod_ids", "exit", "sum_p", "members"):
+            assert _bits(getattr(after, col)) == _bits(getattr(before, col))
 
     def test_min_label_boundary_set(self):
         rng = np.random.default_rng(11)
