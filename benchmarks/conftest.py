@@ -5,9 +5,33 @@ its driver in ``repro.bench.experiments`` and prints the rendered rows
 (`pytest benchmarks/ --benchmark-only -s` shows them).  Drivers are
 deterministic, so a single measured round per benchmark suffices; the
 value under test is the experiment's *content*, the timing is a bonus.
+
+Guards import :data:`SMOKE` and :func:`bench_path` from here
+(``from conftest import ...``).
 """
 
+import os
+from pathlib import Path
+
 import pytest
+
+#: ``REPRO_BENCH_SMOKE=1`` selects the reduced smoke profile
+#: (``scripts/check.sh`` runs the guards this way).
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+
+
+def bench_path(name: str) -> Path:
+    """Where a guard writes its ``BENCH_<name>.json`` report.
+
+    Full-profile runs write the tracked file at the repository root.
+    Smoke runs write into the gitignored ``.bench_smoke/`` instead, so
+    a gate run never overwrites full-profile records with smoke numbers.
+    """
+    root = Path(__file__).resolve().parents[1]
+    if SMOKE:
+        root = root / ".bench_smoke"
+        root.mkdir(exist_ok=True)
+    return root / f"BENCH_{name}.json"
 
 
 def pytest_collection_modifyitems(config, items):

@@ -36,9 +36,7 @@ invariants are asserted either way (the wall-clock floor is relaxed in
 smoke, where fixed per-call overheads dominate the tiny solve).
 """
 
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,14 +45,14 @@ from repro.bench.export import result_to_json
 from repro.core import IncrementalSession, InfomapConfig, sequential_infomap
 from repro.graph import GraphDelta, from_edge_array
 
-_SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+from conftest import SMOKE, bench_path
 
-NUM_COMMS = 12 if _SMOKE else 32
-COMM_SIZE = 48 if _SMOKE else 64
+NUM_COMMS = 12 if SMOKE else 32
+COMM_SIZE = 48 if SMOKE else 64
 NUM_BATCHES = 4
 SEED = 17
 MIN_WORK_SPEEDUP = 5.0
-MIN_TIME_SPEEDUP = 1.5 if _SMOKE else 5.0
+MIN_TIME_SPEEDUP = 1.5 if SMOKE else 5.0
 QUALITY_BAND = 5e-3
 
 
@@ -187,7 +185,7 @@ def incremental_speedup() -> dict:
     lines = [
         f"incremental warm-start, {NUM_COMMS}x{COMM_SIZE} hub+ring "
         f"communities, {num_edges} edges, batches of {budget} edge ops"
-        + (" [smoke]" if _SMOKE else ""),
+        + (" [smoke]" if SMOKE else ""),
     ]
     for r in rows:
         lines.append(
@@ -205,7 +203,7 @@ def incremental_speedup() -> dict:
         "num_edges": int(num_edges),
         "delta_budget": int(budget),
         "batches": NUM_BATCHES,
-        "smoke": _SMOKE,
+        "smoke": SMOKE,
     }
 
 
@@ -239,5 +237,4 @@ def test_incremental_speedup(run_once):
             f"band is {QUALITY_BAND}"
         )
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_incremental.json")
+    result_to_json(out, bench_path("incremental"))

@@ -34,7 +34,6 @@ Three stages, one report (``BENCH_ingest.json``):
 way.
 """
 
-import os
 import tempfile
 import time
 from pathlib import Path
@@ -58,16 +57,16 @@ from repro.graph.io import (  # the pre-PR per-line loops
 )
 from repro.partition import plan_shards
 
-_SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+from conftest import SMOKE, bench_path
 
-PARSE_EDGES = 120_000 if _SMOKE else 1_000_000
-BUILD_EDGES = 200_000 if _SMOKE else 10_000_000
+PARSE_EDGES = 120_000 if SMOKE else 1_000_000
+BUILD_EDGES = 200_000 if SMOKE else 10_000_000
 BUILD_VERTICES = BUILD_EDGES // 10
 NRANKS = 4
 SEED = 17
 #: Timing repetitions per parser; the per-format ratio uses the min of
 #: each side, the standard noise-robust estimator.
-PARSE_REPS = 1 if _SMOKE else 3
+PARSE_REPS = 1 if SMOKE else 3
 
 #: Floor for ``min(legacy) / min(chunked)``.  Measured on the 1-core
 #: CI VM at 10**6 edges: edge-list 4.2-5.2x, METIS 3.9-5.5x across
@@ -78,8 +77,8 @@ PARSE_REPS = 1 if _SMOKE else 3
 #: regression (e.g. a parser falling back to a per-line path).  Smoke
 #: files are small enough that fixed per-call overhead dominates,
 #: hence the lower floor.
-MIN_PARSE_SPEEDUP = 2.2 if _SMOKE else 3.5
-MIN_BUILD_EDGES_PER_SEC = 30_000 if _SMOKE else 150_000
+MIN_PARSE_SPEEDUP = 2.2 if SMOKE else 3.5
+MIN_BUILD_EDGES_PER_SEC = 30_000 if SMOKE else 150_000
 RSS_BUDGET_FACTOR = 2.0
 #: Scale-independent per-rank allowance: interpreter + numpy + frame
 #: rings exist regardless of shard size, so the factor alone would be
@@ -209,7 +208,7 @@ def _stage_build(store):
 def _stage_cluster(store):
     plan = plan_shards(store, NRANKS)
     cfg = InfomapConfig(
-        seed=SEED, backend="procs",
+        seed=SEED,
         # Bound the solve hard: the guard is about ingest memory, not
         # quality, and the ingest peak is sampled before any of this
         # runs.  Two move rounds at one level still exercise the full
@@ -221,7 +220,9 @@ def _stage_cluster(store):
     # 4 ranks time-slice one CI core, so wall clock is ~4x the useful
     # work; the engine watchdog's default 600 s fires on the full-scale
     # graph even though every rank is runnable.
-    result = external_infomap(store, NRANKS, cfg, timeout=3600.0)
+    result = external_infomap(
+        store, NRANKS, cfg, timeout=3600.0, backend="procs"
+    )
     dt = time.perf_counter() - t0
     peaks = result.extras["peak_rss_per_rank"]
     ingest = result.extras["ingest_per_rank"]
@@ -268,7 +269,7 @@ def ingest_scale() -> dict:
     rows = [parse_row, build_row, cluster_row]
     lines = [
         f"out-of-core ingestion, {BUILD_EDGES:,} edges, {NRANKS} ranks"
-        + (" [smoke]" if _SMOKE else ""),
+        + (" [smoke]" if SMOKE else ""),
     ]
     for fmt, row in parse_row["formats"].items():
         lines.append(
@@ -290,7 +291,7 @@ def ingest_scale() -> dict:
     return {
         "text": "\n".join(lines),
         "rows": rows,
-        "smoke": _SMOKE,
+        "smoke": SMOKE,
     }
 
 
@@ -318,5 +319,4 @@ def test_ingest_scale(run_once):
             f"(shard {row['shard_csr_bytes']:,} bytes)"
         )
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_ingest.json")
+    result_to_json(out, bench_path("ingest"))

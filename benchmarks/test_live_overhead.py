@@ -19,9 +19,7 @@ stamp (cpu count / load average) the cross-run report relies on.
 """
 
 import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,13 +29,13 @@ from repro.core import InfomapConfig, distributed_infomap, sequential_infomap
 from repro.graph import barabasi_albert, load_dataset
 from repro.obs.live import LivePlane, LiveSnapshot
 
-_SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+from conftest import SMOKE, bench_path
 
-N_VERTICES = 4_000 if _SMOKE else 20_000
+N_VERTICES = 4_000 if SMOKE else 20_000
 ATTACH = 5
-PAIRS = 3 if _SMOKE else 5
+PAIRS = 3 if SMOKE else 5
 MAX_OVERHEAD = 1.05
-DBLP_SCALE = 0.2 if _SMOKE else 0.5
+DBLP_SCALE = 0.2 if SMOKE else 0.5
 
 
 def live_overhead() -> dict:
@@ -98,7 +96,7 @@ def test_live_overhead(run_once):
     live_row = out["rows"][1]
     assert live_row["overhead"] <= MAX_OVERHEAD, live_row
 
-    path = Path(__file__).resolve().parents[1] / "BENCH_live.json"
+    path = bench_path("live")
     result_to_json(out, path)
     # The host stamp must land in the report: cross-host comparisons of
     # a wall-clock ratio are meaningless without cpus/load context.

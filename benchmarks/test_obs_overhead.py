@@ -17,7 +17,6 @@ Results land in ``BENCH_obs.json`` at the repo root.
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +31,8 @@ from repro.obs import (
     phase_byte_totals,
     to_chrome_trace,
 )
+
+from conftest import bench_path
 
 N_VERTICES = 20_000
 ATTACH = 5
@@ -102,8 +103,7 @@ def test_obs_overhead(run_once):
     traced_row = out["rows"][1]
     assert traced_row["overhead"] <= MAX_OVERHEAD, traced_row
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_obs.json")
+    result_to_json(out, bench_path("obs"))
 
 
 @pytest.mark.obs_guard

@@ -22,7 +22,6 @@ finishes quickly.
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,9 +31,9 @@ from repro.core import InfomapConfig, distributed_infomap
 from repro.graph import barabasi_albert
 from repro.obs.live import LivePlane, LiveSnapshot
 
-_SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+from conftest import SMOKE, bench_path
 
-N_VERTICES = 3_000 if _SMOKE else 12_000
+N_VERTICES = 3_000 if SMOKE else 12_000
 ATTACH = 6  # hub-heavy preferential attachment: boundary-dense cut
 NRANKS = 4
 MIN_WAIT_HIDDEN = 0.30   # overlap wait <= 0.7x blocking wait
@@ -52,11 +51,11 @@ def _wait_overlap_totals(result) -> tuple[float, float]:
 
 def overlap_throughput() -> dict:
     g = barabasi_albert(N_VERTICES, ATTACH, seed=42)
-    base = dict(seed=13, backend="procs", d_high=64)
+    base = dict(seed=13, d_high=64)
 
     t0 = time.perf_counter()
     r_block = distributed_infomap(
-        g, NRANKS, InfomapConfig(overlap=False, **base)
+        g, NRANKS, InfomapConfig(overlap=False, **base), backend="procs"
     )
     dt_block = time.perf_counter() - t0
 
@@ -64,7 +63,8 @@ def overlap_throughput() -> dict:
     try:
         t0 = time.perf_counter()
         r_over = distributed_infomap(
-            g, NRANKS, InfomapConfig(overlap=True, **base), live=plane
+            g, NRANKS, InfomapConfig(overlap=True, **base), live=plane,
+            backend="procs",
         )
         dt_over = time.perf_counter() - t0
         snap = LiveSnapshot.from_plane(plane)
@@ -148,7 +148,7 @@ def test_overlap_throughput(run_once):
 
     # The report (with its honest host stamp) lands before any skip, so
     # single-core hosts still contribute a data point.
-    path = Path(__file__).resolve().parents[1] / "BENCH_overlap.json"
+    path = bench_path("overlap")
     result_to_json(out, path)
     data = json.loads(path.read_text())
     assert data["host"]["cpus"] >= 1

@@ -31,7 +31,6 @@ uses; equivalence is asserted either way.
 import os
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,12 +39,12 @@ from repro.bench.export import result_to_json
 from repro.core import InfomapConfig, distributed_infomap
 from repro.graph import barabasi_albert
 
-_SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+from conftest import SMOKE, bench_path
 
-N_VERTICES = 2_000 if _SMOKE else 20_000
+N_VERTICES = 2_000 if SMOKE else 20_000
 ATTACH = 5
 NRANKS = 4
-N_REPS = 1 if _SMOKE else 3
+N_REPS = 1 if SMOKE else 3
 MIN_SPEEDUP = 1.5
 SEED = 11
 
@@ -98,7 +97,7 @@ def procs_scaling() -> dict:
     lines = [
         f"procs-vs-threads backend, n={N_VERTICES} BA(m={ATTACH}), "
         f"{NRANKS} ranks, {cpus} cpus, median of {N_REPS}"
-        + (" [smoke]" if _SMOKE else "")
+        + (" [smoke]" if SMOKE else "")
     ]
     for r in rows:
         lines.append(
@@ -120,7 +119,7 @@ def procs_scaling() -> dict:
         "n": N_VERTICES,
         "nranks": NRANKS,
         "cpus": cpus,
-        "smoke": _SMOKE,
+        "smoke": SMOKE,
     }
 
 
@@ -138,8 +137,7 @@ def test_procs_scaling(run_once):
         "per-phase logical ledger totals diverged across backends"
     )
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_procs.json")
+    result_to_json(out, bench_path("procs"))
 
     if out["cpus"] < NRANKS:
         pytest.skip(

@@ -28,8 +28,6 @@ trajectory report.  ``REPRO_BENCH_SMOKE=1`` shrinks the communities so
 way.
 """
 
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,11 +37,11 @@ from repro.core import InfomapConfig, distributed_infomap
 from repro.core.timing import PHASE_FIND_BEST, PHASE_REBALANCE
 from repro.graph import from_edge_array
 
-_SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+from conftest import SMOKE, bench_path
 
 NRANKS = 8
 NUM_COMMS = 8
-COMM_SIZE = 48 if _SMOKE else 128
+COMM_SIZE = 48 if SMOKE else 128
 MIN_SKEW_IMPROVEMENT = 1.3
 SEED = 7
 
@@ -149,7 +147,7 @@ def rebalance_skew() -> dict:
     lines = [
         f"dynamic rebalance, {NUM_COMMS}x{COMM_SIZE} hub-heavy "
         f"communities, {NRANKS} ranks"
-        + (" [smoke]" if _SMOKE else ""),
+        + (" [smoke]" if SMOKE else ""),
         f"  off  skew {skew_off:6.2f}  L={float(off.codelength):.6f}",
         f"  on   skew {skew_on:6.2f}  L={float(on.codelength):.6f}  "
         f"({len(events)} events, "
@@ -161,7 +159,7 @@ def rebalance_skew() -> dict:
         "rows": rows,
         "n": NUM_COMMS * COMM_SIZE,
         "nranks": NRANKS,
-        "smoke": _SMOKE,
+        "smoke": SMOKE,
     }
 
 
@@ -184,5 +182,4 @@ def test_rebalance_skew(run_once):
     assert on["rebalance_bytes_physical"] > 0
     assert on["rebalance_bytes_logical"] > 0
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_rebalance.json")
+    result_to_json(out, bench_path("rebalance"))

@@ -14,7 +14,6 @@ churn schedule must end in bitwise-equal tables.  Results land in
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +23,8 @@ from repro.core import FlowNetwork
 from repro.core.swap import LocalModuleState
 from repro.graph import barabasi_albert
 from repro.partition import delegate_partition, local_views_delegate
+
+from conftest import bench_path
 
 N_VERTICES = 50_000
 ATTACH = 5
@@ -138,5 +139,4 @@ def test_swap_throughput(run_once):
     assert out["deterministic"], "identical schedule diverged across runs"
     assert all(r["rounds_per_s"] > 0 for r in out["rows"])
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_swap.json")
+    result_to_json(out, bench_path("swap"))

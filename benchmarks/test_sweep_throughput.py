@@ -2,23 +2,28 @@
 
 Not a paper figure — this guards the vectorized batch engine in
 ``repro.core.kernels``.  Both modes run the same greedy sweeps from the
-same singleton start on a 50k-vertex scale-free graph; because the
+same singleton start on a 50k-vertex scale-free graph: the scalar side
+is the one-vertex-at-a-time reference of ``tests/sweep_reference.py``,
+the batch side ``_sweep_batched`` at several block sizes.  Because the
 batched sweep is decision-equivalent by construction, the move counts
-and codelengths must match exactly while the batch path clears a 3×
-throughput floor.  Results land in ``BENCH_sweep.json`` at the repo
-root for trend tracking.
+and codelengths must match exactly while the sequential solver's block
+size (``_BLOCK``) clears a 3× throughput floor.  Results land in
+``BENCH_sweep.json`` at the repo root for trend tracking.
 """
 
+import functools
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bench.export import result_to_json
 from repro.core import FlowNetwork, InfomapConfig, ModuleStats
-from repro.core.sequential import _sweep_batched, _sweep_scalar
+from repro.core.sequential import _BLOCK, _sweep_batched
 from repro.graph import barabasi_albert
+from tests.sweep_reference import sweep_scalar
+
+from conftest import bench_path
 
 N_VERTICES = 50_000
 ATTACH = 5
@@ -49,13 +54,13 @@ def sweep_throughput() -> dict:
     order = np.random.default_rng(7).permutation(g.num_vertices)
     order = order.astype(np.int64)
 
-    scalar = _run_mode(
-        network, order, _sweep_scalar, InfomapConfig(batch_size=0)
-    )
+    config = InfomapConfig()
+    scalar = _run_mode(network, order, sweep_scalar, config)
     rows = [{"mode": "scalar", "batch_size": 0, **scalar}]
     for bs in (128, 256, 512):
         batch = _run_mode(
-            network, order, _sweep_batched, InfomapConfig(batch_size=bs)
+            network, order,
+            functools.partial(_sweep_batched, block_size=bs), config,
         )
         batch["speedup"] = scalar["elapsed_s"] / batch["elapsed_s"]
         rows.append({"mode": "batch", "batch_size": bs, **batch})
@@ -91,10 +96,8 @@ def test_sweep_throughput(run_once):
     for r in batches:
         assert r["moved"] == scalar["moved"], r
         assert r["codelength"] == scalar["codelength"], r
-    # The perf claim: the default batch size clears the 3x floor.
-    default_bs = InfomapConfig().batch_size
-    default_row = next(r for r in batches if r["batch_size"] == default_bs)
+    # The perf claim: the solver's block size clears the 3x floor.
+    default_row = next(r for r in batches if r["batch_size"] == _BLOCK)
     assert default_row["speedup"] >= MIN_SPEEDUP, default_row
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_sweep.json")
+    result_to_json(out, bench_path("sweep"))

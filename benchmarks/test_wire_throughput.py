@@ -25,7 +25,6 @@ Results land in ``BENCH_wire.json`` at the repo root;
 
 import statistics
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +35,8 @@ from repro.core.swap import LocalModuleState
 from repro.graph import barabasi_albert
 from repro.partition import delegate_partition, local_views_delegate
 from repro.simmpi import run_spmd
+
+from conftest import bench_path
 
 N_VERTICES = 50_000
 ATTACH = 5
@@ -229,5 +230,4 @@ def test_wire_throughput(run_once):
     ):
         assert fb <= pb
 
-    result_to_json(out, Path(__file__).resolve().parents[1] /
-                   "BENCH_wire.json")
+    result_to_json(out, bench_path("wire"))

@@ -5,6 +5,8 @@
 #   scripts/check.sh            # tier-1 + smoke-profile bench guards
 #   scripts/check.sh --fast     # tier-1 only
 #
+# The size banner prints the src/ line count and the number of
+# InfomapConfig fields, so a new knob shows up in every gate run.
 # Tier-1 must pass unchanged.  The bench stage runs every
 # ``--run-bench`` guard (wire throughput, swap cycle, tracing
 # overhead, live-telemetry overhead/fidelity, procs-vs-threads
@@ -16,7 +18,9 @@
 # backend-equivalence assertions (bitwise memberships, codelength
 # trajectories, per-phase logical ledger totals) run at full strength
 # either way — an equivalence mismatch fails this script.  Wall-clock
-# speedup thresholds auto-skip on hosts without enough cores.
+# speedup thresholds auto-skip on hosts without enough cores.  Smoke
+# reports go to the gitignored .bench_smoke/, never over the tracked
+# full-profile BENCH_*.json files at the root.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,6 +32,7 @@ python -c 'from repro.core import sweepkernel as k; print(f"library:  {k.LIBRARY
 
 echo "== src/ size =="
 echo "lines:    $(find src -name '*.py' -o -name '*.c' | xargs cat | wc -l) (*.py + *.c)"
+python -c 'import dataclasses; from repro.core.config import InfomapConfig as C; print(f"config:   {len(dataclasses.fields(C))} InfomapConfig fields")'
 
 echo "== tier 1: tests/ =="
 python -m pytest -x -q

@@ -45,14 +45,14 @@ def gossipmap(
     machine: MachineModel | None = None,
     copy_mode: str = "frames",
     timeout: float = 600.0,
-    backend: str | None = None,
+    backend: str = "threads",
 ) -> ClusteringResult:
     """Run the GossipMap-like baseline on *nranks* simulated ranks.
 
     Accepts the same configuration as the main algorithm; the
     GossipMap-defining switches (1D partitioning, boundary-ID-only
-    exchange) are forced.  *backend* selects the SPMD execution backend
-    (``None`` defers to ``config.backend``).
+    exchange) are forced.  *backend* selects the SPMD execution
+    backend.
     """
     base = config or InfomapConfig()
     cfg = base.with_(
@@ -80,10 +80,10 @@ def gossipmap(
     res = run_spmd(
         _rank_program,
         nranks,
-        fn_args=(views, cfg.with_(tracer=None), graph.num_vertices),
+        fn_args=(views, cfg, graph.num_vertices),
         copy_mode=copy_mode,
         timeout=timeout,
-        backend=backend if backend is not None else cfg.backend,
+        backend=backend,
     )
 
     membership = np.full(graph.num_vertices, -1, dtype=np.int64)

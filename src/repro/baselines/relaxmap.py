@@ -11,8 +11,6 @@ Used as the shared-memory reference point in the baseline comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core.config import InfomapConfig
@@ -23,11 +21,6 @@ from ..core.result import ClusteringResult, LevelRecord
 from ..graph.graph import Graph
 
 __all__ = ["relaxmap"]
-
-
-@dataclass
-class _Batch:
-    vertices: list[int]
 
 
 def relaxmap(

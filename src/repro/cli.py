@@ -130,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--output", "-o", help="write 'vertex<TAB>module' here")
     pc.add_argument("--d-high", type=int, default=None,
                     help="delegate degree threshold (default: adaptive)")
-    pc.add_argument("--batch-size", type=int, default=None,
-                    help="sequential sweep block size (0 = scalar "
-                         "sweep); the distributed sweep ignores it")
     pc.add_argument(
         "--rebalance", action="store_true",
         help="enable the mid-run work-stealing repartitioner "
@@ -377,13 +374,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.backend is None:
         args.backend = "threads"
     graph, labels = _load_graph(args)
-    cfg_kwargs: dict = {
-        "seed": args.seed,
-        "d_high": args.d_high,
-        "backend": args.backend,
-    }
-    if args.batch_size is not None:
-        cfg_kwargs["batch_size"] = args.batch_size
+    cfg_kwargs: dict = {"seed": args.seed, "d_high": args.d_high}
     if args.rebalance:
         cfg_kwargs["dynamic_rebalance"] = True
     if args.rebalance_threshold is not None:
@@ -427,15 +418,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 # path and shard plan; each rank memmaps its own rows.
                 result = external_infomap(
                     args.store, args.ranks, cfg,
-                    tracer=tracer, live=live_plane,
+                    tracer=tracer, live=live_plane, backend=args.backend,
                 )
             else:
                 result = distributed_infomap(
                     graph, args.ranks, cfg,
-                    tracer=tracer, live=live_plane,
+                    tracer=tracer, live=live_plane, backend=args.backend,
                 )
         elif args.method == "gossipmap":
-            result = gossipmap(graph, args.ranks, cfg)
+            result = gossipmap(graph, args.ranks, cfg, backend=args.backend)
         elif args.method == "louvain":
             result = louvain(graph)
         elif args.method == "labelprop":
@@ -452,13 +443,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if tracer is not None:
         from .obs import build_manifest, build_run_artifact, write_run_artifact
 
-        nranks = args.ranks if args.method == "distributed" else 1
+        distributed = args.method == "distributed"
         manifest = build_manifest(
             config=cfg,
-            nranks=nranks,
-            copy_mode="frames" if args.method == "distributed" else "none",
+            nranks=args.ranks if distributed else 1,
+            copy_mode="frames" if distributed else "none",
             graph=graph,
             method=args.method,
+            extra={"backend": args.backend} if distributed else None,
         )
         artifact = build_run_artifact(tracer, result, manifest=manifest)
         write_run_artifact(args.trace, artifact)
@@ -731,7 +723,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
         )
         return 2
 
-    cfg_kwargs: dict = {"seed": args.seed, "backend": args.backend}
+    cfg_kwargs: dict = {"seed": args.seed}
     if args.dirty_hops is not None:
         cfg_kwargs["warm_dirty_hops"] = args.dirty_hops
     cfg = InfomapConfig(**cfg_kwargs)
@@ -745,8 +737,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
     live_plane = _live_start(args.method, nranks, "update") \
         if args.live else None
     session = IncrementalSession.from_membership(
-        graph, membership, cfg, nranks=nranks, tracer=tracer,
-        live=live_plane,
+        graph, membership, cfg, nranks=nranks, backend=args.backend,
+        tracer=tracer, live=live_plane,
     )
     cached_len = session.result.codelength
     ok = False
@@ -778,12 +770,14 @@ def _cmd_update(args: argparse.Namespace) -> int:
     if tracer is not None:
         from .obs import build_manifest, build_run_artifact, write_run_artifact
 
+        distributed = args.method == "distributed"
         manifest = build_manifest(
             config=cfg,
             nranks=nranks,
-            copy_mode="frames" if args.method == "distributed" else "none",
+            copy_mode="frames" if distributed else "none",
             graph=session.graph,
             method=args.method,
+            extra={"backend": args.backend} if distributed else None,
         )
         artifact = build_run_artifact(tracer, result, manifest=manifest)
         write_run_artifact(args.trace, artifact)

@@ -3,12 +3,15 @@
 One dataclass covers both: the distributed-only knobs are ignored by
 the sequential solver.  Every field corresponds to a parameter the
 paper names (θ, max iterations, d_high, the min-label heuristic, the
-full-module-info swap) or an ablation DESIGN.md calls out.
+full-module-info swap) or an ablation DESIGN.md calls out.  How a run
+executes or is observed (SPMD backend, copy mode, tracer, live plane,
+out-of-core chunk size) is not configuration: those are arguments of
+the entry points, so the config stays plain, picklable, JSON-safe data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 __all__ = ["InfomapConfig"]
@@ -16,7 +19,10 @@ __all__ = ["InfomapConfig"]
 
 @dataclass(frozen=True)
 class InfomapConfig:
-    """Knobs for Infomap runs.
+    """Algorithm settings for Infomap runs — values only, no handles.
+
+    Two configs compare equal exactly when they select the same
+    algorithm; a trace manifest records every field.
 
     Attributes:
         threshold: θ of Algorithm 1 — stop the outer (level) loop when
@@ -100,25 +106,6 @@ class InfomapConfig:
             instead.  Set to 0 for absolute-threshold behaviour.
         max_rounds: cap on move/swap rounds inside one distributed
             level (safety net; convergence normally ends rounds).
-        backend: SPMD execution backend for distributed runs.
-            ``"threads"`` (default) runs each rank as an OS thread —
-            cheap, but the GIL serializes rank compute; ``"procs"``
-            runs each rank as an OS process with shared-memory frame
-            transport (:mod:`repro.simmpi.procs`) — real parallelism
-            with identical results and ledger accounting; ``"serial"``
-            insists on the single-rank in-process path.  An explicit
-            ``backend=`` argument to the solver entry points overrides
-            this field.
-        batch_size: vertices scored per batched move-evaluation call
-            of the *sequential* sweep (see :mod:`repro.core.kernels`).
-            The batch path is decision-equivalent to the scalar kernel
-            by construction (snapshot scoring + drift guard + scalar
-            fallback), so this only trades memory/locality against
-            vectorization; ``0`` disables batching entirely (the legacy
-            one-vertex-at-a-time path, kept for ablations and
-            equivalence tests).  The distributed solver ignores it: its
-            sweep is one compiled call per sub-sweep
-            (:mod:`repro.core.sweepkernel`).
         overlap: when True (default) the distributed sweep splits each
             rank's vertices into boundary (ghosted on some peer) and
             interior sets, commits the boundary first, posts the
@@ -141,36 +128,6 @@ class InfomapConfig:
             neighbourhood term a delta can change; raise it to widen
             the re-optimized region (more work, potentially better
             quality on aggressive deltas).
-        ooc_chunk_entries: adjacency entries read per chunk when an
-            out-of-core rank streams its shard from a CSR store
-            (:func:`repro.partition.shard.load_shard`).  Bounds the
-            load-time temporaries to ~24 bytes x this many entries per
-            rank; results are chunk-size invariant (bitwise), so this
-            only trades peak RSS against read-call overhead.
-        tracer: optional :class:`~repro.obs.trace.Tracer` receiving the
-            run's per-rank event stream (phase spans, round convergence
-            samples, communication counters).  ``None`` (default) turns
-            tracing off entirely; the solvers then pay one attribute
-            check per would-be event.  Excluded from equality/repr and
-            from serialized provenance — it describes how the run is
-            observed, not what runs, and tracing is guaranteed not to
-            change any decision (enforced by
-            ``tests/test_obs_trace.py``).  An explicit ``tracer=``
-            argument to the solver entry points overrides this field.
-        live: optional :class:`~repro.obs.live.LivePlane` the run
-            publishes in-flight progress into (round, phase, moves,
-            codelength, byte totals, heartbeats) — the mid-run
-            complement of ``tracer``, readable while the solve is
-            still executing (``repro-infomap status``).  Must have one
-            row per rank, and ``shared=True`` for ``backend="procs"``.
-            ``None`` (default) turns the plane off; the solvers then
-            pay one attribute check per would-be update.  Excluded
-            from equality/repr and provenance for the same reason as
-            ``tracer``: the plane is write-only for the solver, so
-            live-on runs are bitwise-identical to live-off (enforced
-            by ``benchmarks/test_live_overhead.py``).  An explicit
-            ``live=`` argument to the solver entry points overrides
-            this field.
     """
 
     threshold: float = 1e-8
@@ -195,13 +152,8 @@ class InfomapConfig:
     prune_inactive: bool = True
     round_threshold_rel: float = 1e-4
     max_rounds: int = 60
-    batch_size: int = 256
     overlap: bool = True
-    backend: str = "threads"
     warm_dirty_hops: int = 1
-    ooc_chunk_entries: int = 1 << 20
-    tracer: Any = field(default=None, compare=False, repr=False)
-    live: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.threshold < 0:
@@ -227,28 +179,14 @@ class InfomapConfig:
             raise ValueError("rebalance_max_vertices must be >= 1")
         if self.round_threshold_rel < 0:
             raise ValueError("round_threshold_rel must be >= 0")
-        if self.batch_size < 0:
-            raise ValueError(
-                f"batch_size must be >= 0 (0 = scalar path), "
-                f"got {self.batch_size}"
-            )
         if self.warm_dirty_hops < 0:
             raise ValueError(
                 f"warm_dirty_hops must be >= 0, got {self.warm_dirty_hops}"
-            )
-        if self.ooc_chunk_entries < 1:
-            raise ValueError(
-                f"ooc_chunk_entries must be >= 1, got {self.ooc_chunk_entries}"
             )
         if self.move_rule not in ("map_equation", "max_flow"):
             raise ValueError(
                 "move_rule must be 'map_equation' or 'max_flow', "
                 f"got {self.move_rule!r}"
-            )
-        if self.backend not in ("threads", "procs", "serial"):
-            raise ValueError(
-                "backend must be 'threads', 'procs' or 'serial', "
-                f"got {self.backend!r}"
             )
         if self.delegate_consensus not in ("aggregate", "min_local"):
             raise ValueError(

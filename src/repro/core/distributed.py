@@ -831,34 +831,19 @@ def _rank_program(
     views: list[LocalGraph],
     cfg: InfomapConfig,
     n0: int,
+    seed_membership: "np.ndarray | None" = None,
+    active_seed: "np.ndarray | None" = None,
 ) -> dict[str, Any]:
-    """In-RAM rank program: local views were carved out by the driver."""
-    return _rank_body(comm, views[comm.rank], cfg, n0)
+    """In-RAM rank program: local views were carved out by the driver.
 
-
-def _rank_program_warm(
-    comm: Communicator,
-    views: list[LocalGraph],
-    cfg: InfomapConfig,
-    n0: int,
-    seed_membership: np.ndarray,
-    active_seed: "np.ndarray | None",
-) -> dict[str, Any]:
-    """Warm-start rank program: seeded membership + dirty active set.
-
-    Identical to :func:`_rank_program` except that stage 1 starts from
-    the cached (relabeled) membership instead of all-singletons and, when
-    an *active_seed* mask is given, only the dirty frontier is swept in
-    round 1 — the O(changed region) property the incremental benchmark
-    guards.
+    A warm start passes *seed_membership* (stage 1 starts from the
+    cached, relabeled membership instead of all-singletons) and, when
+    given, *active_seed* (only the dirty frontier is swept in round 1 —
+    the O(changed region) property the incremental benchmark guards).
     """
     return _rank_body(
-        comm,
-        views[comm.rank],
-        cfg,
-        n0,
-        seed_membership=seed_membership,
-        active_seed=active_seed,
+        comm, views[comm.rank], cfg, n0,
+        seed_membership=seed_membership, active_seed=active_seed,
     )
 
 
@@ -886,9 +871,7 @@ def _rank_program_shard(
     from ..partition.shard import load_shard
 
     rss_before = current_rss_bytes()
-    lg, ingest = load_shard(
-        comm, store_dir, plan, chunk_entries=cfg.ooc_chunk_entries
-    )
+    lg, ingest = load_shard(comm, store_dir, plan)
     ingest["rss_before_bytes"] = rss_before
     # Peak at the end of the load stage: the number the out-of-core
     # guard holds against the shard budget.  The later whole-run peak
@@ -1107,7 +1090,7 @@ def distributed_infomap(
     timeout: float = 600.0,
     tracer: Any = None,
     live: Any = None,
-    backend: str | None = None,
+    backend: str = "threads",
 ) -> ClusteringResult:
     """Run the distributed Infomap algorithm on *nranks* simulated ranks.
 
@@ -1116,27 +1099,22 @@ def distributed_infomap(
     in-process runtime.  See :class:`DistributedInfomap` for the
     object-style API and the paper mapping.
 
-    With a :class:`~repro.obs.trace.Tracer` (argument or
-    ``config.tracer``) every rank records phase spans, per-round
-    convergence samples and per-message byte meters on its own
-    timeline; tracing never changes any clustering decision.
+    With a :class:`~repro.obs.trace.Tracer` every rank records phase
+    spans, per-round convergence samples and per-message byte meters on
+    its own timeline; tracing never changes any clustering decision.
 
-    With a :class:`~repro.obs.live.LivePlane` (argument or
-    ``config.live``) every rank additionally publishes in-flight
-    progress — level, round, codelength, moves, edge scans, byte
-    totals, heartbeats — into its plane row, readable mid-run by
-    ``repro-infomap status``/``watch``.  The plane is write-only for
+    With a :class:`~repro.obs.live.LivePlane` every rank additionally
+    publishes in-flight progress — level, round, codelength, moves,
+    edge scans, byte totals, heartbeats — into its plane row, readable
+    mid-run by ``repro-infomap status``/``watch``.  The plane is write-only for
     the solver, so live-on runs stay bitwise-identical to live-off.
 
     *backend* picks the SPMD execution backend (``"threads"``,
-    ``"procs"`` or ``"serial"``; ``None`` defers to ``config.backend``).
+    ``"procs"`` or ``"serial"``; see :func:`repro.simmpi.run_spmd`).
     Backends are result-equivalent: memberships, codelength
     trajectories and logical ledger totals are identical.
     """
     cfg = config or InfomapConfig()
-    tr = tracer if tracer is not None else cfg.tracer
-    lv = live if live is not None else cfg.live
-    bk = backend if backend is not None else cfg.backend
     if graph.num_edges == 0:
         raise ValueError("cannot cluster a graph with no edges")
 
@@ -1155,24 +1133,15 @@ def distributed_infomap(
         is_hub=dpart.is_hub,
         nranks=nranks,
     )
-
-    # The shipped config must not carry the tracer object: ranks reach
-    # their trace buffers through the communicator (the engine attaches
-    # them), and a Tracer holds a threading.Lock that cannot cross the
-    # process-backend boundary.
-    ship_cfg = (
-        cfg.with_(tracer=None, live=None)
-        if (cfg.tracer is not None or cfg.live is not None) else cfg
-    )
     res = run_spmd(
         _rank_program,
         nranks,
-        fn_args=(views, ship_cfg, graph.num_vertices),
+        fn_args=(views, cfg, graph.num_vertices),
         copy_mode=copy_mode,
         timeout=timeout,
-        tracer=tr,
-        live=lv,
-        backend=bk,
+        tracer=tracer,
+        live=live,
+        backend=backend,
     )
 
     return _assemble_result(
@@ -1197,7 +1166,7 @@ def warm_distributed_infomap(
     timeout: float = 600.0,
     tracer: Any = None,
     live: Any = None,
-    backend: str | None = None,
+    backend: str = "threads",
 ) -> ClusteringResult:
     """Distributed re-solve warm-started from a cached partition.
 
@@ -1215,9 +1184,6 @@ def warm_distributed_infomap(
     *nranks* ranks.
     """
     cfg = config or InfomapConfig()
-    tr = tracer if tracer is not None else cfg.tracer
-    lv = live if live is not None else cfg.live
-    bk = backend if backend is not None else cfg.backend
     if graph.num_edges == 0:
         raise ValueError("cannot cluster a graph with no edges")
     n = graph.num_vertices
@@ -1239,19 +1205,15 @@ def warm_distributed_infomap(
         part = OneDPartition.round_robin(n, nranks)
         views = local_views_1d(network, part)
 
-    ship_cfg = (
-        cfg.with_(tracer=None, live=None)
-        if (cfg.tracer is not None or cfg.live is not None) else cfg
-    )
     res = run_spmd(
-        _rank_program_warm,
+        _rank_program,
         nranks,
-        fn_args=(views, ship_cfg, n, seed, act),
+        fn_args=(views, cfg, n, seed, act),
         copy_mode=copy_mode,
         timeout=timeout,
-        tracer=tr,
-        live=lv,
-        backend=bk,
+        tracer=tracer,
+        live=live,
+        backend=backend,
     )
     return _assemble_result(
         res,
@@ -1352,7 +1314,7 @@ def external_infomap(
     timeout: float = 600.0,
     tracer: Any = None,
     live: Any = None,
-    backend: str | None = None,
+    backend: str = "threads",
 ) -> ClusteringResult:
     """Cluster an on-disk CSR store without loading the graph.
 
@@ -1377,24 +1339,16 @@ def external_infomap(
     from ..partition.shard import plan_shards  # lazy: import cycle
 
     cfg = config or InfomapConfig()
-    tr = tracer if tracer is not None else cfg.tracer
-    lv = live if live is not None else cfg.live
-    bk = backend if backend is not None else cfg.backend
     plan = plan_shards(store_dir, nranks)
-
-    ship_cfg = (
-        cfg.with_(tracer=None, live=None)
-        if (cfg.tracer is not None or cfg.live is not None) else cfg
-    )
     res = run_spmd(
         _rank_program_shard,
         nranks,
-        fn_args=(str(store_dir), plan, ship_cfg, plan.num_vertices),
+        fn_args=(str(store_dir), plan, cfg, plan.num_vertices),
         copy_mode=copy_mode,
         timeout=timeout,
-        tracer=tr,
-        live=lv,
-        backend=bk,
+        tracer=tracer,
+        live=live,
+        backend=backend,
     )
     return _assemble_result(
         res,
@@ -1476,8 +1430,7 @@ class DistributedInfomap:
             frames — no pickle on the hot path; ``"pickle"`` is the
             equivalence oracle (identical decoded values, slower).
         backend: SPMD execution backend — ``"threads"``, ``"procs"``
-            (process-per-rank, shared-memory transport) or ``"serial"``;
-            ``None`` defers to ``config.backend``.
+            (process-per-rank, shared-memory transport) or ``"serial"``.
     """
 
     def __init__(
@@ -1489,7 +1442,7 @@ class DistributedInfomap:
         copy_mode: str = "frames",
         timeout: float = 600.0,
         tracer: Any = None,
-        backend: str | None = None,
+        backend: str = "threads",
     ) -> None:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")

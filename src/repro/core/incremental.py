@@ -90,7 +90,8 @@ class IncrementalSession:
         nranks: 1 (default) runs the sequential solver; more ranks run
             the distributed solver, whose per-rank views persist across
             batches and are spliced in place per delta.
-        backend: SPMD backend override for distributed sessions.
+        backend: SPMD backend of distributed sessions (see
+            :func:`repro.simmpi.run_spmd`).
         tracer: optional :class:`~repro.obs.trace.Tracer`; each batch
             emits a ``delta`` instant (rank 0) that
             :func:`repro.obs.export.delta_rows` and the CLI ``inspect``
@@ -118,7 +119,7 @@ class IncrementalSession:
         config: InfomapConfig | None = None,
         *,
         nranks: int = 1,
-        backend: str | None = None,
+        backend: str = "threads",
         tracer: Any = None,
         live: Any = None,
     ) -> None:
@@ -275,8 +276,7 @@ class IncrementalSession:
         }
         self.events.append(event)
         res.extras["delta_event"] = event
-        plane = self.live if self.live is not None else cfg.live
-        lv = plane.for_rank(0) if plane is not None else NULL_LIVE
+        lv = self.live.for_rank(0) if self.live is not None else NULL_LIVE
         if lv.enabled:
             lv.add("batches", 1)
             lv.update(codelength=float(res.codelength))

@@ -37,30 +37,10 @@ __all__ = ["SequentialInfomap", "cluster_level", "sequential_infomap"]
 # At zero drift the guard is exactly 0 and decisions are bitwise-equal.
 _SEQ_GUARD_SLACK = 1e-13
 
-
-def _sweep_scalar(
-    network: FlowNetwork,
-    membership: np.ndarray,
-    stats: ModuleStats,
-    order: np.ndarray,
-    config: InfomapConfig,
-) -> int:
-    """Legacy one-vertex-at-a-time sweep (``batch_size=0``)."""
-    moved = 0
-    for u in order:
-        prop = best_move(
-            network, membership, stats, int(u),
-            min_improvement=config.min_improvement,
-        )
-        if prop.is_move:
-            stats.apply_move(
-                old=prop.current, new=prop.target,
-                p_u=prop.p_u, x_u=prop.x_u,
-                d_old=prop.d_old, d_new=prop.d_new,
-            )
-            membership[u] = prop.target
-            moved += 1
-    return moved
+#: Vertices scored per vectorized block of the sweep.  The block size
+#: trades memory/locality against vectorization only: every block size
+#: commits the same move sequence as the one-vertex-at-a-time sweep.
+_BLOCK = 256
 
 
 def _sweep_batched(
@@ -69,6 +49,7 @@ def _sweep_batched(
     stats: ModuleStats,
     order: np.ndarray,
     config: InfomapConfig,
+    block_size: int = _BLOCK,
 ) -> int:
     """Batched sweep with exact serial semantics (see kernels.py docs).
 
@@ -81,12 +62,11 @@ def _sweep_batched(
     sweep's committed move sequence is identical to the scalar sweep's.
     """
     mi = config.min_improvement
-    bs = config.batch_size
     n = network.graph.num_vertices
     moved = 0
     touched = np.zeros(n, dtype=bool)
-    for lo in range(0, order.size, bs):
-        block = order[lo : lo + bs]
+    for lo in range(0, order.size, block_size):
+        block = order[lo : lo + block_size]
         agg, score = score_block_stats(network, membership, stats, block)
         stay = score.best_delta >= -mi
         if bool(stay.all()):
@@ -254,14 +234,9 @@ def cluster_level(
         prev = membership.copy() if active is not None else None
         buf.set_context(round=sweeps)
         with buf.span("sweep"):
-            if config.batch_size > 0:
-                moved = _sweep_batched(
-                    network, membership, stats, sweep_order, config
-                )
-            else:
-                moved = _sweep_scalar(
-                    network, membership, stats, sweep_order, config
-                )
+            moved = _sweep_batched(
+                network, membership, stats, sweep_order, config
+            )
         if buf.enabled:
             buf.instant("sweep_done", args={"moves": int(moved)})
             buf.counter("moves", int(moved))
@@ -296,12 +271,12 @@ def sequential_infomap(
 
     The outer loop coarsens until the codelength improvement of a level
     falls below ``config.threshold`` or ``config.max_levels`` is hit.
-    With a tracer (argument or ``config.tracer``) the run additionally
+    With a *tracer* the run additionally
     records a rank-0 timeline: one span per level and sweep plus
     per-level codelength/module-count samples.  Tracing never alters a
     decision, so traced and untraced runs are bitwise-identical.
 
-    With a live plane (argument or ``config.live``; see
+    With a *live* plane (see
     :class:`~repro.obs.live.LivePlane`) the run additionally publishes
     rank-0 progress — level/round gauges, sweep/move/edge counters and
     the running codelength — so ``repro-infomap status``/``watch`` can
@@ -317,10 +292,11 @@ def sequential_infomap(
     Omitting all three leaves the cold path byte-identical to before.
     """
     cfg = config or InfomapConfig()
-    tr = tracer if tracer is not None else cfg.tracer
-    buf = tr.for_rank(0) if tr is not None and tr.enabled else NULL_BUFFER
-    plane = live if live is not None else cfg.live
-    lv = plane.for_rank(0) if plane is not None else NULL_LIVE
+    buf = (
+        tracer.for_rank(0)
+        if tracer is not None and tracer.enabled else NULL_BUFFER
+    )
+    lv = live.for_rank(0) if live is not None else NULL_LIVE
     rng = np.random.default_rng(cfg.seed)
     network = FlowNetwork.from_graph(graph)
 

@@ -134,11 +134,6 @@ _COUNTER_FIELDS = frozenset(
 _READ_RETRIES = 64
 
 
-def phase_id(name: str | None) -> int:
-    """Map a phase name to its live-plane id (unknown names -> 0)."""
-    return PHASE_IDS.get(name or "", 0)
-
-
 class LiveMetrics:
     """Single-writer view of one rank's row.  ``enabled`` is always
     True; the disabled counterpart is :data:`NULL_LIVE`."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import platform
 import time
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, is_dataclass
 from typing import Any
 
 import numpy as np
@@ -52,20 +52,9 @@ def graph_fingerprint(graph: Any) -> str:
 
 
 def config_dict(config: Any) -> dict[str, Any]:
-    """A JSON-safe dict of an :class:`~repro.core.config.InfomapConfig`.
-
-    Walks dataclass fields directly instead of ``dataclasses.asdict``
-    so the non-serializable ``tracer`` and ``live`` handles are
-    skipped (they describe *how* the run was observed, not *what* ran).
-    """
-    if not is_dataclass(config):
-        return dict(config)
-    out: dict[str, Any] = {}
-    for f in fields(config):
-        if f.name in ("tracer", "live"):
-            continue
-        out[f.name] = getattr(config, f.name)
-    return out
+    """A JSON-safe dict of an :class:`~repro.core.config.InfomapConfig`
+    (or of any dataclass / mapping of plain values)."""
+    return asdict(config) if is_dataclass(config) else dict(config)
 
 
 def build_manifest(

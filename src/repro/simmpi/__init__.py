@@ -36,7 +36,7 @@ from .errors import (
     InvalidTagError,
     SimMpiError,
 )
-from .requests import ExchangeRequest, ReduceRequest, RequestSet
+from .requests import ExchangeRequest, ReduceRequest
 from .serial import SerialCommunicator
 from .stats import CommLedger, PhaseBytes, RankStats, payload_nbytes
 from .threadcomm import JobContext, Mailbox, ThreadCommunicator
@@ -70,7 +70,6 @@ __all__ = [
     "RankStats",
     "ReduceRequest",
     "Request",
-    "RequestSet",
     "SerialCommunicator",
     "SimMpiError",
     "SpmdResult",

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..obs.live import NULL_LIVE
 from ..obs.trace import NULL_BUFFER
-from .requests import Request, RequestSet
+from .requests import Request
 from .stats import RankStats
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Communicator",
     "ReduceOp",
     "Request",
-    "RequestSet",
     "resolve_op",
 ]
 

@@ -48,11 +48,10 @@ therefore never perturb a deterministic trajectory.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable
 
 __all__ = [
     "Request",
-    "RequestSet",
     "ReduceRequest",
     "ExchangeRequest",
     "IALLREDUCE_TAG",
@@ -173,51 +172,6 @@ class Request:
             self._done = True
             return True, value
         return False, None
-
-
-class RequestSet:
-    """An ordered batch of requests (mpi4py: ``Request.Waitall``).
-
-    ``waitall`` returns the requests' values in *insertion* order
-    regardless of the order completions actually land in — each
-    request's value is fixed at post time by its tag/source pattern,
-    so waiting in any order yields the same list (the order-independence
-    property ``tests/test_requests.py`` pins down).
-    """
-
-    __slots__ = ("_reqs",)
-
-    def __init__(self, requests: "Iterator[Request] | list[Request]" = ()) -> None:
-        self._reqs: list[Request] = list(requests)
-
-    def add(self, req: Request) -> Request:
-        self._reqs.append(req)
-        return req
-
-    def __len__(self) -> int:
-        return len(self._reqs)
-
-    def __iter__(self) -> Iterator[Request]:
-        return iter(self._reqs)
-
-    @property
-    def completed(self) -> bool:
-        return all(r.completed for r in self._reqs)
-
-    def waitall(self) -> list[Any]:
-        """Wait for every request; return their values in insertion order."""
-        return [r.wait() for r in self._reqs]
-
-    def testall(self) -> "tuple[bool, list[Any] | None]":
-        """Probe all requests; ``(True, values)`` only when every one is
-        complete, else ``(False, None)`` (mpi4py: ``Request.Testall``)."""
-        done = True
-        for r in self._reqs:
-            ok, _v = r.test()
-            done = done and ok
-        if not done:
-            return False, None
-        return True, [r.wait() for r in self._reqs]
 
 
 class ReduceRequest(Request):

@@ -195,7 +195,7 @@ class RankStats:
         self.decode_seconds_by_phase[self._phase] += seconds
 
     def record_wait_seconds(self, seconds: float) -> None:
-        """Meter time truly blocked inside a request ``wait``/``waitall``.
+        """Meter time truly blocked inside a request ``wait``.
 
         Together with :meth:`record_overlap_seconds` this splits each
         nonblocking operation's latency into the part that cost wall
@@ -232,14 +232,6 @@ class RankStats:
     @property
     def total_decode_seconds(self) -> float:
         return sum(self.decode_seconds_by_phase.values())
-
-    @property
-    def total_wait_seconds(self) -> float:
-        return sum(self.wait_seconds_by_phase.values())
-
-    @property
-    def total_overlap_seconds(self) -> float:
-        return sum(self.overlap_seconds_by_phase.values())
 
     @property
     def total_bytes_sent(self) -> int:

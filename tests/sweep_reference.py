@@ -9,6 +9,12 @@ module table through :class:`_DictTable`, the reference's own
 them in the :class:`repro.core.sweepkernel.SweepKernel` interface, so a
 test can compare the kernel against it call by call, or run a whole
 solve on it by patching ``repro.core.distributed.SweepKernel``.
+
+:func:`sweep_scalar` is the same kind of reference for the sequential
+solver: the one-vertex-at-a-time sweep its blocked
+``repro.core.sequential._sweep_batched`` must reproduce move for move.
+A test patches it in place of ``_sweep_batched`` to run a whole solve
+on it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,31 @@ import numpy as np
 
 from repro.core.config import InfomapConfig
 from repro.core.kernels import aggregate_module_flows
+from repro.core.moves import best_move
 from repro.core.swap import LocalModuleState
+
+
+def sweep_scalar(network, membership, stats, order, config):
+    """Sequential sweep scoring one vertex at a time with ``best_move``.
+
+    Same signature as ``repro.core.sequential._sweep_batched`` (without
+    its block size); returns the number of committed moves.
+    """
+    moved = 0
+    for u in order:
+        prop = best_move(
+            network, membership, stats, int(u),
+            min_improvement=config.min_improvement,
+        )
+        if prop.is_move:
+            stats.apply_move(
+                old=prop.current, new=prop.target,
+                p_u=prop.p_u, x_u=prop.x_u,
+                d_old=prop.d_old, d_new=prop.d_new,
+            )
+            membership[u] = prop.target
+            moved += 1
+    return moved
 
 
 class _DictTable:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.graph import ring_of_cliques, write_edgelist
+from repro.obs import load_run_artifact
 
 
 class TestParser:
@@ -25,6 +26,13 @@ class TestParser:
     def test_bench_experiment_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--experiment", "fig99"])
+
+    def test_batch_size_rejected(self):
+        # The sequential sweep's block size is a fixed constant now.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["cluster", "--dataset", "dblp", "--batch-size", "0"]
+            )
 
 
 class TestCluster:
@@ -120,6 +128,40 @@ class TestTraceAndInspect:
         ])
         assert rc == 0
         assert trace_path.exists()
+
+    def test_cluster_manifest_records_backend(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        write_edgelist(ring_of_cliques(4, 5).graph, path)
+        trace_path = tmp_path / "procs.json"
+        rc = main([
+            "cluster", "--input", str(path), "--method", "distributed",
+            "--ranks", "2", "--backend", "procs",
+            "--trace", str(trace_path),
+        ])
+        assert rc == 0
+        manifest = load_run_artifact(trace_path)["manifest"]
+        assert manifest["backend"] == "procs"
+        assert "backend" not in manifest["config"]
+
+    def test_update_manifest_records_backend(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        write_edgelist(ring_of_cliques(4, 5).graph, path)
+        part = tmp_path / "part.tsv"
+        assert main(["cluster", "--input", str(path), "-o",
+                     str(part)]) == 0
+        delta = tmp_path / "d.delta"
+        delta.write_text("+ 0 10\n")
+        trace_path = tmp_path / "update.json"
+        rc = main([
+            "update", "--input", str(path), "--partition", str(part),
+            "--delta", str(delta), "--method", "distributed",
+            "--ranks", "2", "--backend", "threads",
+            "--trace", str(trace_path),
+        ])
+        assert rc == 0
+        manifest = load_run_artifact(trace_path)["manifest"]
+        assert manifest["backend"] == "threads"
+        assert manifest["method"] == "distributed"
 
     def test_trace_ignored_for_baselines(self, tmp_path, capsys):
         trace_path = tmp_path / "nope.json"

@@ -192,9 +192,9 @@ class TestMemmapEndToEnd:
         graph_to_store(g, tmp_path / "s")
         gm = open_csr_store(tmp_path / "s")
         nranks = 1 if backend == "serial" else 3
-        cfg = InfomapConfig(seed=3, backend=backend)
-        ref = distributed_infomap(g, nranks, cfg)
-        out = distributed_infomap(gm, nranks, cfg)
+        cfg = InfomapConfig(seed=3)
+        ref = distributed_infomap(g, nranks, cfg, backend=backend)
+        out = distributed_infomap(gm, nranks, cfg, backend=backend)
         np.testing.assert_array_equal(ref.membership, out.membership)
         assert ref.codelength == out.codelength
         assert ref.extras["codelength_history"] == \

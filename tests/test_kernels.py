@@ -6,12 +6,13 @@ drift bound and falls back to the scalar evaluator whenever the bound
 cannot certify the decision.  The distributed solver's compiled sweep
 (:mod:`repro.core.sweepkernel`) commits the scalar loop's move sequence
 outright.  These tests pin both contracts down end to end: same graph +
-same config (modulo ``batch_size``, or with the scalar reference sweep
-of :mod:`tests.sweep_reference` patched in) must give *identical*
+same config, with the scalar reference sweeps of
+:mod:`tests.sweep_reference` patched in or not, must give *identical*
 memberships and *bitwise-identical* codelength histories.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.core import (
     sequential_infomap,
 )
 import repro.core.distributed as distributed_mod
+import repro.core.sequential as sequential_mod
 from repro.graph import (
     barabasi_albert,
     from_edges,
@@ -40,11 +42,7 @@ from repro.graph import (
 )
 from repro.graph.graph import gather_rows
 
-from .sweep_reference import ReferenceSweep
-
-
-def _cfg(batch_size, **kw):
-    return InfomapConfig(batch_size=batch_size, **kw)
+from .sweep_reference import ReferenceSweep, sweep_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +192,33 @@ def _graph_cases():
     ]
 
 
+def _sequential_run(graph, cfg, sweep):
+    """``sequential_infomap`` with *sweep* in place of ``_sweep_batched``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sequential_mod, "_sweep_batched", sweep)
+        return sequential_infomap(graph, cfg)
+
+
 class TestSequentialEquivalence:
     @pytest.mark.parametrize("gi", range(4))
     @pytest.mark.parametrize("seed", [0, 13])
     def test_identical_membership_and_codelength(self, gi, seed):
         g = _graph_cases()[gi]
-        scalar = sequential_infomap(g, _cfg(0, seed=seed))
-        batch = sequential_infomap(g, _cfg(256, seed=seed))
+        cfg = InfomapConfig(seed=seed)
+        scalar = _sequential_run(g, cfg, sweep_scalar)
+        batch = sequential_infomap(g, cfg)
         np.testing.assert_array_equal(batch.membership, scalar.membership)
         assert batch.codelength == scalar.codelength  # bitwise
 
     def test_tiny_blocks_still_equivalent(self):
         g = planted_partition(4, 12, 0.5, 0.05, seed=9).graph
-        scalar = sequential_infomap(g, _cfg(0, seed=1))
+        cfg = InfomapConfig(seed=1)
+        scalar = _sequential_run(g, cfg, sweep_scalar)
         for bs in (1, 2, 7, 64):
-            batch = sequential_infomap(g, _cfg(bs, seed=1))
+            batch = _sequential_run(
+                g, cfg,
+                functools.partial(sequential_mod._sweep_batched, block_size=bs),
+            )
             np.testing.assert_array_equal(
                 batch.membership, scalar.membership
             )
@@ -225,8 +235,12 @@ class TestSequentialEquivalence:
         # Small/sparse draws can come out edgeless, where flow (and hence
         # the codelength) is undefined — discard those, don't crash.
         assume(g.total_weight > 0)
-        scalar = sequential_infomap(g, _cfg(0, seed=seed % 7))
-        batch = sequential_infomap(g, _cfg(128, seed=seed % 7))
+        cfg = InfomapConfig(seed=seed % 7)
+        scalar = _sequential_run(g, cfg, sweep_scalar)
+        batch = _sequential_run(
+            g, cfg,
+            functools.partial(sequential_mod._sweep_batched, block_size=128),
+        )
         np.testing.assert_array_equal(batch.membership, scalar.membership)
         assert batch.codelength == scalar.codelength
 
@@ -253,7 +267,7 @@ class TestDistributedEquivalence:
         self, nranks, min_label, monkeypatch
     ):
         g = planted_partition(5, 20, 0.4, 0.02, seed=3).graph
-        cfg = _cfg(256, seed=5, min_label=min_label)
+        cfg = InfomapConfig(seed=5, min_label=min_label)
         _assert_same_run(
             distributed_infomap(g, nranks, cfg),
             _reference_run(monkeypatch, g, nranks, cfg),
@@ -263,7 +277,7 @@ class TestDistributedEquivalence:
         # d_high=2 turns nearly every vertex into a hub with delegates,
         # exercising the boundary/ghost-module and hub-consensus paths.
         g = powerlaw_planted_partition(300, 6, mu=0.25, seed=8).graph
-        cfg = _cfg(64, seed=2, d_high=2)
+        cfg = InfomapConfig(seed=2, d_high=2)
         _assert_same_run(
             distributed_infomap(g, 4, cfg),
             _reference_run(monkeypatch, g, 4, cfg),
@@ -271,7 +285,7 @@ class TestDistributedEquivalence:
 
     def test_scale_free_multirank(self, monkeypatch):
         g = barabasi_albert(400, 3, seed=12)
-        cfg = _cfg(256, seed=0)
+        cfg = InfomapConfig(seed=0)
         _assert_same_run(
             distributed_infomap(g, 3, cfg),
             _reference_run(monkeypatch, g, 3, cfg),
@@ -286,7 +300,7 @@ class TestDistributedEquivalence:
     )
     def test_other_rules_and_consensus(self, extra, monkeypatch):
         g = powerlaw_planted_partition(300, 6, mu=0.25, seed=8).graph
-        cfg = _cfg(256, seed=2, **extra)
+        cfg = InfomapConfig(seed=2, **extra)
         _assert_same_run(
             distributed_infomap(g, 3, cfg),
             _reference_run(monkeypatch, g, 3, cfg),
@@ -298,7 +312,7 @@ class TestBatchSmoke4Ranks:
         """Tier-1 smoke: the compiled sweep runs under four ranks,
         converges to a sane partition and matches the reference."""
         lg = powerlaw_planted_partition(600, 10, mu=0.2, seed=21)
-        cfg = _cfg(256, seed=1)
+        cfg = InfomapConfig(seed=1)
         res = distributed_infomap(lg.graph, 4, cfg)
         assert res.num_modules > 1
         assert res.codelength > 0.0

@@ -167,10 +167,12 @@ def test_seqlock_reader_never_sees_torn_rows():
 @pytest.mark.parametrize("backend", ["threads", "procs"])
 def test_live_counters_match_final_ledger(backend):
     graph = barabasi_albert(150, 3, seed=7)
-    cfg = InfomapConfig(seed=3, backend=backend)
+    cfg = InfomapConfig(seed=3)
     plane = LivePlane(NRANKS, shared=(backend == "procs"))
     try:
-        res = distributed_infomap(graph, NRANKS, cfg, live=plane)
+        res = distributed_infomap(
+            graph, NRANKS, cfg, live=plane, backend=backend
+        )
         snap = LiveSnapshot.from_plane(plane)
         for r, st in enumerate(res.extras["comm_snapshot"]):
             want_bytes = st["p2p_bytes_sent"] + st["collective_bytes_in"]
@@ -210,11 +212,13 @@ def test_live_edges_match_work_counters_sequential():
 @pytest.mark.parametrize("backend", ["threads", "procs"])
 def test_live_on_is_bitwise_identical_to_live_off(backend):
     graph = barabasi_albert(120, 3, seed=11)
-    cfg = InfomapConfig(seed=5, backend=backend)
-    plain = distributed_infomap(graph, NRANKS, cfg)
+    cfg = InfomapConfig(seed=5)
+    plain = distributed_infomap(graph, NRANKS, cfg, backend=backend)
     plane = LivePlane(NRANKS, shared=(backend == "procs"))
     try:
-        lived = distributed_infomap(graph, NRANKS, cfg, live=plane)
+        lived = distributed_infomap(
+            graph, NRANKS, cfg, live=plane, backend=backend
+        )
     finally:
         plane.close(unlink=True)
     np.testing.assert_array_equal(plain.membership, lived.membership)
@@ -240,16 +244,6 @@ def test_incremental_session_batch_gauges():
     res = session.update(delta)
     assert row.value("batches") == 1
     assert row.value("codelength") == float(res.codelength)
-
-
-def test_config_live_field_excluded_from_manifest():
-    from repro.obs.manifest import build_manifest
-
-    cfg = InfomapConfig(seed=1, live=LivePlane(1))
-    man = build_manifest(config=cfg, nranks=1, copy_mode="none",
-                        method="sequential")
-    assert "live" not in man["config"]
-    assert "tracer" not in man["config"]
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,12 @@ _LOGICAL_FIELDS = (
 )
 
 
-def _pair(graph, nranks, **kw):
+def _pair(graph, nranks, backend="threads", **kw):
     ra = distributed_infomap(
-        graph, nranks, InfomapConfig(overlap=True, **kw)
+        graph, nranks, InfomapConfig(overlap=True, **kw), backend=backend
     )
     rb = distributed_infomap(
-        graph, nranks, InfomapConfig(overlap=False, **kw)
+        graph, nranks, InfomapConfig(overlap=False, **kw), backend=backend
     )
     return ra, rb
 

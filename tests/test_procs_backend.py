@@ -568,10 +568,11 @@ def test_distributed_infomap_backend_equivalence():
 
 
 def test_config_backend_field():
-    cfg = InfomapConfig(backend="procs")
-    assert cfg.backend == "procs"
+    # The backend is an argument of the entry points, not a config
+    # field; run_spmd rejects an unknown one before any rank starts.
+    g = barabasi_albert(40, 2, seed=0)
     with pytest.raises(ValueError, match="backend"):
-        InfomapConfig(backend="bogus")
+        distributed_infomap(g, 2, backend="bogus")
 
 
 def test_cli_parse_ranks_auto():

@@ -1,16 +1,16 @@
 """Nonblocking collectives: iallreduce/iexchange request semantics.
 
 Property-based checks that arbitrary post/wait interleavings are
-value- and ledger-equivalent to the blocking collectives, that
-:class:`RequestSet.waitall` is order-independent, and that the three
-backends (threads, procs, serial) agree.
+value- and ledger-equivalent to the blocking collectives, that waiting
+on a list of requests yields their values in post order whatever that
+order was, and that the three backends (threads, procs, serial) agree.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simmpi import RequestSet, run_spmd, run_spmd_procs
+from repro.simmpi import run_spmd, run_spmd_procs
 
 NRANKS = 3
 
@@ -138,12 +138,12 @@ class TestWaitallOrderIndependence:
     @given(st.permutations(list(range(4))))
     def test_waitall_returns_insertion_order(self, post_order):
         def prog(comm):
-            rs = RequestSet()
+            reqs = []
             posted = []
             for i in post_order:
-                rs.add(comm.iallreduce(comm.rank * (i + 1) + 1))
+                reqs.append(comm.iallreduce(comm.rank * (i + 1) + 1))
                 posted.append(i)
-            return posted, rs.waitall()
+            return posted, [r.wait() for r in reqs]
 
         res = run_spmd(prog, NRANKS)
         for posted, values in res.results:
@@ -153,12 +153,10 @@ class TestWaitallOrderIndependence:
 
     def test_waitall_idempotent_and_len(self):
         def prog(comm):
-            rs = RequestSet()
-            rs.add(comm.iallreduce(1))
-            rs.add(comm.iallreduce(2))
-            a = rs.waitall()
-            b = rs.waitall()
-            return len(rs), rs.completed, a, b
+            reqs = [comm.iallreduce(1), comm.iallreduce(2)]
+            a = [r.wait() for r in reqs]
+            b = [r.wait() for r in reqs]
+            return len(reqs), all(r.completed for r in reqs), a, b
 
         res = run_spmd(prog, NRANKS)
         for n, done, a, b in res.results:

@@ -8,6 +8,8 @@ ownership with zero hubs.  That identity is what makes
 partition choice.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.partition import (
     load_shard,
     plan_shards,
 )
+from repro.partition import shard as shard_mod
 from repro.simmpi.engine import run_spmd
 
 
@@ -165,13 +168,18 @@ class TestExternalInfomap:
         assert ref.results[0]["codelength_history"] == \
             out.extras["codelength_history"]
 
-    def test_extras_and_chunk_invariance(self, tmp_path):
+    def test_extras_and_chunk_invariance(self, tmp_path, monkeypatch):
         ds = load_dataset("dblp", seed=0, scale=0.25)
         graph_to_store(ds.graph, tmp_path / "s")
         cfg = InfomapConfig(seed=3)
         a = external_infomap(tmp_path / "s", 3, cfg)
-        b = external_infomap(tmp_path / "s", 3,
-                             cfg.with_(ooc_chunk_entries=777))
+        # The rank program imports load_shard at call time, so a small
+        # chunk size patched in here reaches every (thread) rank.
+        monkeypatch.setattr(
+            shard_mod, "load_shard",
+            functools.partial(shard_mod.load_shard, chunk_entries=777),
+        )
+        b = external_infomap(tmp_path / "s", 3, cfg)
         np.testing.assert_array_equal(a.membership, b.membership)
         assert a.codelength == b.codelength
         assert a.extras["num_hubs"] == 0
